@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "common/byte_order.h"
 #include "common/crc32.h"
 
 namespace fobs::posix {
@@ -14,15 +15,8 @@ namespace {
 constexpr std::uint64_t kCheckpointMagic = 0x464F4253434B5031ull;
 constexpr std::size_t kHeaderSize = 8 + 8 + 8 + 8 + 8;  // magic + 3 counts + bitmap len
 
-void put_u64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
-  return v;
-}
+using util::get_u64;
+using util::put_u64;
 
 }  // namespace
 

@@ -2,32 +2,17 @@
 
 #include <cstring>
 
+#include "common/byte_order.h"
 #include "common/crc32.h"
 
 namespace fobs::posix {
 
 namespace {
 
-void put_u32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v >> 24);
-  p[1] = static_cast<std::uint8_t>(v >> 16);
-  p[2] = static_cast<std::uint8_t>(v >> 8);
-  p[3] = static_cast<std::uint8_t>(v);
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return (static_cast<std::uint32_t>(p[0]) << 24) | (static_cast<std::uint32_t>(p[1]) << 16) |
-         (static_cast<std::uint32_t>(p[2]) << 8) | static_cast<std::uint32_t>(p[3]);
-}
-
-void put_u64(std::uint8_t* p, std::uint64_t v) {
-  put_u32(p, static_cast<std::uint32_t>(v >> 32));
-  put_u32(p + 4, static_cast<std::uint32_t>(v));
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  return (static_cast<std::uint64_t>(get_u32(p)) << 32) | get_u32(p + 4);
-}
+using util::get_u32;
+using util::get_u64;
+using util::put_u32;
+using util::put_u64;
 
 constexpr std::size_t kAckFixedSize = 4 + 8 + 8 + 8 + 8 + 4 + 4 + 4;  // 48 bytes
 

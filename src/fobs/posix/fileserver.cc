@@ -1,7 +1,5 @@
 #include "fobs/posix/fileserver.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -17,6 +15,7 @@
 #include "common/log.h"
 #include "fobs/object.h"
 #include "fobs/stripe/striped_transfer.h"
+#include "net/socket.h"
 #include "telemetry/metrics.h"
 
 namespace fobs::posix {
@@ -24,11 +23,6 @@ namespace fobs::posix {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-bool send_line(int fd, const std::string& line) {
-  return ::send(fd, line.data(), line.size(), MSG_NOSIGNAL) ==
-         static_cast<ssize_t>(line.size());
-}
 
 /// Reads one '\n'-terminated line (newline stripped) from a stream
 /// socket, giving up at `deadline` or as soon as `abort` (optional) is
@@ -128,10 +122,8 @@ void FileServer::stop() {
 bool FileServer::running() const { return engine_ != nullptr && engine_->acceptor_running(); }
 
 void FileServer::handle_catalog(int fd, const std::string& peer_host) {
-  if (stopping_.load(std::memory_order_relaxed)) {
-    ::close(fd);
-    return;
-  }
+  net::Fd conn(fd);  // closed on every early return
+  if (stopping_.load(std::memory_order_relaxed)) return;
   requests_.fetch_add(1, std::memory_order_relaxed);
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(std::max(1, options_.catalog_recv_timeout_ms));
@@ -141,9 +133,11 @@ void FileServer::handle_catalog(int fd, const std::string& peer_host) {
       catalog_timeouts_.fetch_add(1, std::memory_order_relaxed);
       telemetry::MetricsRegistry::global().counter("fobs.fileserver.catalog_timeouts").inc();
     }
-    ::close(fd);
     return;
   }
+  auto reply = [&](const std::string& line) {
+    net::send_all(fd, line.data(), line.size(), deadline);
+  };
   const auto space = request.find(' ');
   const std::string name = request.substr(0, space);
   int client_port = 0;
@@ -157,8 +151,7 @@ void FileServer::handle_catalog(int fd, const std::string& peer_host) {
     // Shed the request instead of starting a session the shutdown
     // would immediately cancel.
     refused_.fetch_add(1, std::memory_order_relaxed);
-    send_line(fd, "-1 0\n");
-    ::close(fd);
+    reply("-1 0\n");
     return;
   }
   auto mapped = name_is_safe(name)
@@ -166,8 +159,7 @@ void FileServer::handle_catalog(int fd, const std::string& peer_host) {
                     : std::nullopt;
   if (!mapped || client_port <= 0 || client_port > 65535) {
     refused_.fetch_add(1, std::memory_order_relaxed);
-    send_line(fd, "-1 0\n");
-    ::close(fd);
+    reply("-1 0\n");
     return;
   }
   const auto control_port = engine_->allocate_control_port();
@@ -176,14 +168,12 @@ void FileServer::handle_catalog(int fd, const std::string& peer_host) {
     // queueing a session that could not listen anywhere.
     refused_.fetch_add(1, std::memory_order_relaxed);
     telemetry::MetricsRegistry::global().counter("fobs.fileserver.port_exhausted").inc();
-    send_line(fd, "-1 0\n");
-    ::close(fd);
+    reply("-1 0\n");
     return;
   }
   auto object = std::make_shared<fobs::core::TransferObject>(std::move(*mapped));
-  send_line(fd,
-            std::to_string(object->size()) + " " + std::to_string(*control_port) + "\n");
-  ::close(fd);  // catalog exchange done; the transfer session takes over
+  reply(std::to_string(object->size()) + " " + std::to_string(*control_port) + "\n");
+  conn.reset();  // catalog exchange done; the transfer session takes over
 
   if (striped) {
     // The replied control port becomes the FOBSSTRP negotiation port;
@@ -273,10 +263,7 @@ FetchResult fetch_file(const FetchOptions& options) {
   // starting). Each attempt gets a fresh socket: POSIX leaves a socket
   // in an unspecified state after a failed connect(), so reusing it can
   // fail spuriously off-Linux.
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options.catalog_port);
-  ::inet_pton(AF_INET, options.host.c_str(), &addr.sin_addr);
+  const sockaddr_in addr = net::make_addr(options.host, options.catalog_port);
   int conn = -1;
   int attempts = 0;
   for (;;) {
@@ -286,7 +273,7 @@ FetchResult fetch_file(const FetchOptions& options) {
       result.error = "socket failed";
       return result;
     }
-    if (::connect(conn, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0) break;
+    if (::connect(conn, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0) break;
     ::close(conn);
     if (++attempts > std::max(1, options.connect_attempts)) {
       result.status = TransferStatus::kPeerLost;
@@ -298,11 +285,12 @@ FetchResult fetch_file(const FetchOptions& options) {
   const int stripes = std::min(std::max(options.stripes, 1), stripe::kMaxStripes);
   std::string catalog_line = options.name + " " + std::to_string(options.data_port);
   if (stripes > 1) catalog_line += " " + std::to_string(stripes);
-  send_line(conn, catalog_line + "\n");
+  catalog_line += "\n";
+  const auto catalog_deadline =
+      Clock::now() + std::chrono::milliseconds(std::max(1, options.endpoint.timeout_ms));
+  net::send_all(conn, catalog_line.data(), catalog_line.size(), catalog_deadline);
   std::string reply;
-  const bool got_reply = recv_line(
-      conn, Clock::now() + std::chrono::milliseconds(std::max(1, options.endpoint.timeout_ms)),
-      reply);
+  const bool got_reply = recv_line(conn, catalog_deadline, reply);
   ::close(conn);
   long long size = -1;
   int control_port = 0;

@@ -1,8 +1,5 @@
 #include "fobs/posix/posix_transfer.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -17,10 +14,12 @@
 #include <thread>
 #include <vector>
 
+#include "common/byte_order.h"
 #include "common/log.h"
 #include "fobs/posix/checkpoint.h"
 #include "fobs/posix/codec.h"
 #include "net/datagram_channel.h"
+#include "net/socket.h"
 #include "telemetry/metrics.h"
 
 namespace fobs::posix {
@@ -28,6 +27,7 @@ namespace fobs::posix {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using net::Fd;
 
 /// Installs a "nanoseconds since `start`" clock on `tracer` and records
 /// the transfer_start event. No-op on a null tracer.
@@ -121,63 +121,6 @@ bool resolve_stripe(const stripe::StripeRef& ref, std::int64_t span_bytes,
   return true;
 }
 
-/// RAII file descriptor.
-class Fd {
- public:
-  Fd() = default;
-  explicit Fd(int fd) : fd_(fd) {}
-  ~Fd() { reset(); }
-  Fd(Fd&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
-  Fd& operator=(Fd&& other) noexcept {
-    if (this != &other) {
-      reset();
-      fd_ = other.fd_;
-      other.fd_ = -1;
-    }
-    return *this;
-  }
-  Fd(const Fd&) = delete;
-  Fd& operator=(const Fd&) = delete;
-
-  [[nodiscard]] int get() const { return fd_; }
-  [[nodiscard]] bool valid() const { return fd_ >= 0; }
-  void reset() {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-  }
-
- private:
-  int fd_ = -1;
-};
-
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, host.c_str(), &addr.sin_addr);
-  return addr;
-}
-
-double mbps(std::int64_t bytes, double seconds) {
-  if (seconds <= 0) return 0.0;
-  return static_cast<double>(bytes) * 8.0 / seconds / 1e6;
-}
-
-void put_u64be(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
-}
-
-std::uint64_t get_u64be(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
-  return v;
-}
-
 /// Resolves the fault plan for one endpoint: the options field wins,
 /// otherwise FOBS_FAULT_PLAN from the environment. Returns false (and
 /// sets `error`) on a malformed plan.
@@ -197,51 +140,6 @@ bool resolve_fault_plan(const std::string& from_options,
   }
   if (!plan->empty()) injector.emplace(*plan);
   return true;
-}
-
-/// Writes `len` bytes to a non-blocking stream socket, polling for
-/// writability, until done, failure, or `deadline`.
-bool send_all(int fd, const std::uint8_t* data, std::size_t len, Clock::time_point deadline) {
-  std::size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::send(fd, data + off, len - off, MSG_NOSIGNAL);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EWOULDBLOCK || errno == EAGAIN || errno == EINTR)) {
-      if (Clock::now() >= deadline) return false;
-      pollfd pfd{fd, POLLOUT, 0};
-      ::poll(&pfd, 1, 10);
-      continue;
-    }
-    return false;
-  }
-  return true;
-}
-
-/// Connects a fresh TCP socket to the control port, retrying with
-/// capped exponential backoff until `deadline` (or cancellation).
-/// Invalid Fd on failure.
-Fd connect_control(const std::string& host, std::uint16_t port, Clock::time_point deadline,
-                   const std::atomic<bool>* cancel) {
-  auto backoff = std::chrono::milliseconds(5);
-  constexpr auto kMaxBackoff = std::chrono::milliseconds(200);
-  while (Clock::now() < deadline && !cancel_requested(cancel)) {
-    Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
-    if (!fd.valid()) return {};
-    const sockaddr_in addr = make_addr(host, port);
-    if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0) {
-      set_nonblocking(fd.get());
-      return fd;
-    }
-    // A failed connect() leaves the socket in an unusable state on some
-    // platforms; start over with a fresh one after the backoff.
-    fd.reset();
-    std::this_thread::sleep_for(backoff);
-    backoff = std::min(backoff * 2, kMaxBackoff);
-  }
-  return {};
 }
 
 /// Wall-clock stall checker shared by both endpoints: `tick` forwards
@@ -331,6 +229,11 @@ class AckClassifier {
 
 namespace detail {
 
+double mbps(std::int64_t bytes, double seconds) {
+  if (seconds <= 0) return 0.0;
+  return static_cast<double>(bytes) * 8.0 / seconds / 1e6;
+}
+
 // ---------------------------------------------------------------------------
 // Sender
 // ---------------------------------------------------------------------------
@@ -381,20 +284,11 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
     result.error = io_error;
     return result;
   }
-  const sockaddr_in peer = make_addr(options.receiver_host, options.data_port);
+  const sockaddr_in peer = net::make_addr(options.receiver_host, options.data_port);
 
   // TCP listener for the control channel (completion + resume frames).
-  Fd listener(::socket(AF_INET, SOCK_STREAM, 0));
+  const Fd listener = net::listen_tcp(options.control_port, 1);
   if (!listener.valid()) {
-    result.error = "tcp socket failed";
-    return result;
-  }
-  const int one = 1;
-  ::setsockopt(listener.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in listen_addr = make_addr("0.0.0.0", options.control_port);
-  if (::bind(listener.get(), reinterpret_cast<sockaddr*>(&listen_addr), sizeof listen_addr) !=
-          0 ||
-      ::listen(listener.get(), 1) != 0 || !set_nonblocking(listener.get())) {
     result.error = "tcp listen failed";
     return result;
   }
@@ -450,10 +344,8 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
     // resume frame (full bitmap) then pre-acks everything the previous
     // incarnation stored.
     if (!control.valid()) {
-      const int fd = ::accept(listener.get(), nullptr, nullptr);
-      if (fd >= 0) {
-        control = Fd(fd);
-        set_nonblocking(fd);
+      control = net::accept_until(listener.get(), Clock::time_point::min());
+      if (control.valid()) {
         if (control_ever_connected) {
           ++result.reconnects;
           metrics.counter("fobs.fault.reconnects").inc();
@@ -488,14 +380,14 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
       }
       // Parse whole frames off the buffered stream.
       while (control_buf.size() >= 8) {
-        const std::uint64_t token = get_u64be(control_buf.data());
+        const std::uint64_t token = util::get_u64(control_buf.data());
         if (token == kCompletionToken) {
           core.on_completion_signal();
           break;
         }
         if (token == kHelloToken) {
           if (control_buf.size() < kHelloFrameSize) break;  // wait for the rest
-          acks.on_hello(static_cast<std::uint32_t>(get_u64be(control_buf.data() + 8)));
+          acks.on_hello(static_cast<std::uint32_t>(util::get_u64(control_buf.data() + 8)));
           control_buf.erase(control_buf.begin(),
                             control_buf.begin() + static_cast<std::ptrdiff_t>(kHelloFrameSize));
           continue;
@@ -740,12 +632,13 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
       (static_cast<std::uint64_t>(::getpid()) << 16));
   if (epoch == 0) epoch = 1;
   std::uint8_t hello[kHelloFrameSize];
-  put_u64be(hello, kHelloToken);
-  put_u64be(hello + 8, epoch);
+  util::put_u64(hello, kHelloToken);
+  util::put_u64(hello + 8, epoch);
 
   // Control channel: connect with capped exponential backoff (the
   // sender may not be up yet, or we may be a restarted incarnation).
-  Fd control = connect_control(options.sender_host, options.control_port, deadline, cancel);
+  Fd control =
+      net::connect_with_backoff(options.sender_host, options.control_port, deadline, cancel);
   if (!control.valid()) {
     if (cancel_requested(cancel)) {
       result.status = TransferStatus::kCancelled;
@@ -757,7 +650,7 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
     end_trace(tracer, result.status);
     return result;
   }
-  if (!send_all(control.get(), hello, sizeof hello, deadline)) {
+  if (!net::send_all(control.get(), hello, sizeof hello, deadline)) {
     FOBS_WARN("fobs.receiver", "hello frame send failed; sender keeps its previous epoch");
   }
 
@@ -766,7 +659,7 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
     const auto bitmap = core.received().extract_range(
         0, static_cast<std::size_t>(spec.packet_count()));
     const auto frame = encode_resume(spec.packet_count(), result.packets_restored, bitmap);
-    if (!send_all(control.get(), frame.data(), frame.size(), deadline)) {
+    if (!net::send_all(control.get(), frame.data(), frame.size(), deadline)) {
       FOBS_WARN("fobs.receiver", "resume frame send failed; sender will re-send everything");
     }
   }
@@ -926,13 +819,13 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
     // Deliver the completion token; if the control connection died in
     // the meantime, reconnect (with backoff) and retry a few times.
     std::uint8_t token[8];
-    put_u64be(token, kCompletionToken);
+    util::put_u64(token, kCompletionToken);
     const auto token_deadline = Clock::now() + std::chrono::seconds(2);
-    bool delivered = control.valid() && send_all(control.get(), token, sizeof token,
+    bool delivered = control.valid() && net::send_all(control.get(), token, sizeof token,
                                                  token_deadline);
     for (int attempt = 0; !delivered && attempt < 3; ++attempt) {
-      control = connect_control(options.sender_host, options.control_port,
-                                Clock::now() + std::chrono::seconds(1), cancel);
+      control = net::connect_with_backoff(options.sender_host, options.control_port,
+                                          Clock::now() + std::chrono::seconds(1), cancel);
       if (!control.valid()) continue;
       ++result.reconnects;
       metrics.counter("fobs.fault.reconnects").inc();
@@ -940,9 +833,9 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
         tracer->record(telemetry::EventType::kReconnect, -1, result.reconnects);
       }
       // Hello first, as on every control connection.
-      delivered = send_all(control.get(), hello, sizeof hello,
+      delivered = net::send_all(control.get(), hello, sizeof hello,
                            Clock::now() + std::chrono::seconds(1)) &&
-                  send_all(control.get(), token, sizeof token,
+                  net::send_all(control.get(), token, sizeof token,
                            Clock::now() + std::chrono::seconds(1));
     }
     result.status = TransferStatus::kCompleted;

@@ -141,6 +141,9 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
 ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8_t> buffer,
                             const std::atomic<bool>* cancel);
 
+/// Goodput in Mb/s of `bytes` moved in `seconds` (0 for no elapsed time).
+[[nodiscard]] double mbps(std::int64_t bytes, double seconds);
+
 }  // namespace detail
 
 }  // namespace fobs::posix

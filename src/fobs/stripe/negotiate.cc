@@ -2,38 +2,19 @@
 
 #include <cstring>
 
+#include "common/byte_order.h"
 #include "common/crc32.h"
 
 namespace fobs::stripe {
 
 namespace {
 
-void put_u16(std::uint8_t* p, std::uint16_t v) {
-  p[0] = static_cast<std::uint8_t>(v >> 8);
-  p[1] = static_cast<std::uint8_t>(v);
-}
-
-std::uint16_t get_u16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>((static_cast<std::uint16_t>(p[0]) << 8) | p[1]);
-}
-
-void put_u32(std::uint8_t* p, std::uint32_t v) {
-  put_u16(p, static_cast<std::uint16_t>(v >> 16));
-  put_u16(p + 2, static_cast<std::uint16_t>(v));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return (static_cast<std::uint32_t>(get_u16(p)) << 16) | get_u16(p + 2);
-}
-
-void put_u64(std::uint8_t* p, std::uint64_t v) {
-  put_u32(p, static_cast<std::uint32_t>(v >> 32));
-  put_u32(p + 4, static_cast<std::uint32_t>(v));
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  return (static_cast<std::uint64_t>(get_u32(p)) << 32) | get_u32(p + 4);
-}
+using util::get_u16;
+using util::get_u32;
+using util::get_u64;
+using util::put_u16;
+using util::put_u32;
+using util::put_u64;
 
 bool valid_layout(std::uint8_t raw) {
   return raw == static_cast<std::uint8_t>(StripeLayout::kContiguous) ||

@@ -1,22 +1,13 @@
 #include "fobs/stripe/striped_transfer.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <mutex>
-#include <thread>
 
 #include "common/bitmap.h"
-#include "common/log.h"
+#include "common/byte_order.h"
+#include "net/socket.h"
 #include "telemetry/metrics.h"
 
 namespace fobs::posix {
@@ -24,112 +15,7 @@ namespace fobs::posix {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// RAII file descriptor (local copy; the driver's one is file-private).
-class Fd {
- public:
-  Fd() = default;
-  explicit Fd(int fd) : fd_(fd) {}
-  ~Fd() { reset(); }
-  Fd(Fd&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
-  Fd& operator=(Fd&& other) noexcept {
-    if (this != &other) {
-      reset();
-      fd_ = other.fd_;
-      other.fd_ = -1;
-    }
-    return *this;
-  }
-  Fd(const Fd&) = delete;
-  Fd& operator=(const Fd&) = delete;
-
-  [[nodiscard]] int get() const { return fd_; }
-  [[nodiscard]] bool valid() const { return fd_ >= 0; }
-  void reset() {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-  }
-
- private:
-  int fd_ = -1;
-};
-
-sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, host.c_str(), &addr.sin_addr);
-  return addr;
-}
-
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-/// Blocking-with-deadline exact read on a non-blocking stream socket.
-bool read_exact(int fd, std::uint8_t* out, std::size_t len, Clock::time_point deadline) {
-  std::size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::recv(fd, out + off, len - off, 0);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n == 0) return false;  // peer closed mid-frame
-    if (errno != EWOULDBLOCK && errno != EAGAIN && errno != EINTR) return false;
-    if (Clock::now() >= deadline) return false;
-    pollfd pfd{fd, POLLIN, 0};
-    ::poll(&pfd, 1, 10);
-  }
-  return true;
-}
-
-bool send_all(int fd, const std::uint8_t* data, std::size_t len, Clock::time_point deadline) {
-  std::size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::send(fd, data + off, len - off, MSG_NOSIGNAL);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EWOULDBLOCK || errno == EAGAIN || errno == EINTR)) {
-      if (Clock::now() >= deadline) return false;
-      pollfd pfd{fd, POLLOUT, 0};
-      ::poll(&pfd, 1, 10);
-      continue;
-    }
-    return false;
-  }
-  return true;
-}
-
-/// Connects to host:port with capped exponential backoff until
-/// `deadline` (the peer may not be listening yet). Invalid Fd on
-/// failure.
-Fd connect_with_backoff(const std::string& host, std::uint16_t port,
-                        Clock::time_point deadline) {
-  auto backoff = std::chrono::milliseconds(5);
-  constexpr auto kMaxBackoff = std::chrono::milliseconds(200);
-  while (Clock::now() < deadline) {
-    Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
-    if (!fd.valid()) return {};
-    const sockaddr_in addr = make_addr(host, port);
-    if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0) {
-      set_nonblocking(fd.get());
-      return fd;
-    }
-    fd.reset();
-    std::this_thread::sleep_for(backoff);
-    backoff = std::min(backoff * 2, kMaxBackoff);
-  }
-  return {};
-}
-
-double mbps(std::int64_t bytes, double seconds) {
-  if (seconds <= 0) return 0.0;
-  return static_cast<double>(bytes) * 8.0 / seconds / 1e6;
-}
+using net::Fd;
 
 void sum_io(fobs::net::IoStats& into, const fobs::net::IoStats& add) {
   into.send_syscalls += add.send_syscalls;
@@ -190,7 +76,7 @@ void finalize_aggregate(StripedResult& result, std::int64_t object_bytes) {
   if (result.stripes_completed == result.stripes && result.stripes > 0) {
     result.status = TransferStatus::kCompleted;
     result.error.clear();
-    result.goodput_mbps = mbps(object_bytes, slowest);
+    result.goodput_mbps = detail::mbps(object_bytes, slowest);
   } else {
     result.status = worst;
     result.error = worst_error;
@@ -363,49 +249,26 @@ std::optional<int> TransferEngine::submit_striped_send(const StripedSenderOption
   // Accept exactly one negotiation connection, with the endpoint's
   // whole timeout as budget (the receiver connects right after its
   // catalog exchange, so in practice this is milliseconds).
-  Fd listener(::socket(AF_INET, SOCK_STREAM, 0));
-  if (!listener.valid()) return fail("tcp socket failed");
-  const int one = 1;
-  ::setsockopt(listener.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in listen_addr = make_addr("0.0.0.0", options.negotiation_port);
-  if (::bind(listener.get(), reinterpret_cast<sockaddr*>(&listen_addr), sizeof listen_addr) !=
-          0 ||
-      ::listen(listener.get(), 1) != 0 || !set_nonblocking(listener.get())) {
-    return fail("negotiation listen failed");
-  }
+  Fd listener = net::listen_tcp(options.negotiation_port, 1);
+  if (!listener.valid()) return fail("negotiation listen failed");
   const auto deadline = Clock::now() + std::chrono::milliseconds(options.endpoint.timeout_ms);
-  Fd conn;
   std::string peer_host;
-  while (Clock::now() < deadline) {
-    sockaddr_in peer{};
-    socklen_t peer_len = sizeof peer;
-    const int fd = ::accept(listener.get(), reinterpret_cast<sockaddr*>(&peer), &peer_len);
-    if (fd >= 0) {
-      conn = Fd(fd);
-      set_nonblocking(fd);
-      char host[64] = {0};
-      ::inet_ntop(AF_INET, &peer.sin_addr, host, sizeof host);
-      peer_host = host;
-      break;
-    }
-    pollfd pfd{listener.get(), POLLIN, 0};
-    ::poll(&pfd, 1, 10);
-  }
+  Fd conn = net::accept_until(listener.get(), deadline, &peer_host);
   if (!conn.valid()) return fail("no negotiation connection before the deadline");
 
   // Read the FOBSSTRP request: fixed part first (it carries the stripe
   // count), then the port list + CRC trailer.
   std::vector<std::uint8_t> frame(stripe::kStripeRequestFixedSize);
-  if (!read_exact(conn.get(), frame.data(), frame.size(), deadline)) {
+  if (!net::read_exact(conn.get(), frame.data(), frame.size(), deadline)) {
     return fail("negotiation request truncated");
   }
-  const int requested = (static_cast<int>(frame[11]) << 8) | frame[12];
+  const int requested = util::get_u16(frame.data() + 11);
   if (requested < 1 || requested > stripe::kMaxStripes) {
     return fail("negotiation request malformed");
   }
   frame.resize(stripe::stripe_request_size(requested));
-  if (!read_exact(conn.get(), frame.data() + stripe::kStripeRequestFixedSize,
-                  frame.size() - stripe::kStripeRequestFixedSize, deadline)) {
+  if (!net::read_exact(conn.get(), frame.data() + stripe::kStripeRequestFixedSize,
+                       frame.size() - stripe::kStripeRequestFixedSize, deadline)) {
     return fail("negotiation request truncated");
   }
   const auto request = stripe::decode_stripe_request(frame.data(), frame.size());
@@ -413,7 +276,7 @@ std::optional<int> TransferEngine::submit_striped_send(const StripedSenderOption
 
   auto respond = [&](const stripe::StripeResponse& response) {
     const auto encoded = stripe::encode_stripe_response(response);
-    return send_all(conn.get(), encoded.data(), encoded.size(), deadline);
+    return net::send_all(conn.get(), encoded.data(), encoded.size(), deadline);
   };
 
   if (request->object_bytes != spec.object_bytes ||
@@ -458,6 +321,7 @@ std::optional<int> TransferEngine::submit_striped_send(const StripedSenderOption
     }
   }
 
+  std::shared_ptr<const stripe::StripePlan> plan;  // null: the single-flow fallback
   if (control_ports.empty()) {
     // Out of ports: refuse striping but keep the transfer alive — serve
     // one plain flow on the negotiation port itself (the receiver falls
@@ -465,86 +329,58 @@ std::optional<int> TransferEngine::submit_striped_send(const StripedSenderOption
     if (!respond(stripe::StripeResponse{request->layout, {}})) {
       return fail("negotiation response failed");
     }
-    conn.reset();
-    listener.reset();  // run_sender re-binds this port for its control listener
     metrics.counter("fobs.stripe.negotiation_rejected").inc();
     metrics.counter("fobs.stripe.fallbacks").inc();
-    auto agg = std::make_shared<SendAggregation>();
-    agg->remaining = 1;
-    agg->object_bytes = spec.object_bytes;
-    agg->result.is_sender = true;
-    agg->result.fallback_single_flow = true;
-    agg->result.stripes = 1;
-    agg->result.layout = request->layout;
-    agg->result.stripe_senders.resize(1);
-    agg->on_complete = std::move(params.on_complete);
-    SenderOptions single;
-    single.receiver_host = peer_host;
-    single.data_port = request->data_ports.front();
-    single.control_port = options.negotiation_port;
-    single.core = options.core;
-    single.endpoint = stripe_endpoint(options.endpoint, options.stripe_fault_plans, 0);
-    SessionParams session_params;
-    session_params.keepalive = std::move(params.keepalive);
-    if (options.negotiation_port_owned) {
-      session_params.owned_control_port = options.negotiation_port;
+    accepted = 1;
+    control_ports = {options.negotiation_port};
+    ports_owned = options.negotiation_port_owned;
+  } else {
+    stripe::StripePlan plan_value;
+    std::string plan_error;
+    if (!stripe::StripePlan::make(spec, accepted, request->layout, &plan_value, &plan_error)) {
+      if (ports_owned) release_control_port_block(control_ports.front(), control_ports.size());
+      respond(stripe::StripeResponse{request->layout, {}});
+      return fail("stripe plan rejected: " + plan_error);
     }
-    session_params.on_exit = [agg](const TransferHandle& handle) {
-      agg->stripe_done(0, handle.sender_result());
-    };
-    submit_send(single, object, std::move(session_params));
-    return 0;
-  }
-
-  stripe::StripePlan plan_value;
-  std::string plan_error;
-  if (!stripe::StripePlan::make(spec, accepted, request->layout, &plan_value, &plan_error)) {
-    if (ports_owned) {
-      release_control_port_block(control_ports.front(), control_ports.size());
+    if (!respond(stripe::StripeResponse{request->layout, control_ports})) {
+      if (ports_owned) release_control_port_block(control_ports.front(), control_ports.size());
+      return fail("negotiation response failed");
     }
-    respond(stripe::StripeResponse{request->layout, {}});
-    return fail("stripe plan rejected: " + plan_error);
-  }
-  if (!respond(stripe::StripeResponse{request->layout, control_ports})) {
-    if (ports_owned) {
-      release_control_port_block(control_ports.front(), control_ports.size());
-    }
-    return fail("negotiation response failed");
+    plan = std::make_shared<const stripe::StripePlan>(std::move(plan_value));
+    metrics.counter("fobs.stripe.sessions").inc(accepted);
   }
   conn.reset();
-  listener.reset();
+  listener.reset();  // the fallback's run_sender re-binds this port for its control listener
   // Striping negotiated: the negotiation port has done its job.
-  if (options.negotiation_port_owned) release_control_port(options.negotiation_port);
+  if (plan && options.negotiation_port_owned) release_control_port(options.negotiation_port);
 
-  auto plan = std::make_shared<const stripe::StripePlan>(std::move(plan_value));
-  metrics.counter("fobs.stripe.sessions").inc(accepted);
+  // One sender session per stripe (one plain session for the fallback).
   auto agg = std::make_shared<SendAggregation>();
   agg->remaining = accepted;
   agg->object_bytes = spec.object_bytes;
   agg->result.is_sender = true;
+  agg->result.fallback_single_flow = plan == nullptr;
   agg->result.stripes = accepted;
   agg->result.layout = request->layout;
   agg->result.stripe_senders.resize(static_cast<std::size_t>(accepted));
   agg->on_complete = std::move(params.on_complete);
   for (int i = 0; i < accepted; ++i) {
-    SenderOptions stripe_options;
-    stripe_options.receiver_host = peer_host;
-    stripe_options.data_port = request->data_ports[static_cast<std::size_t>(i)];
-    stripe_options.control_port = control_ports[static_cast<std::size_t>(i)];
-    stripe_options.core = options.core;
-    stripe_options.endpoint = stripe_endpoint(options.endpoint, options.stripe_fault_plans, i);
-    stripe_options.stripe = {plan, i};
+    SenderOptions session;
+    session.receiver_host = peer_host;
+    session.data_port = request->data_ports[static_cast<std::size_t>(i)];
+    session.control_port = control_ports[static_cast<std::size_t>(i)];
+    session.core = options.core;
+    session.endpoint = stripe_endpoint(options.endpoint, options.stripe_fault_plans, i);
+    session.stripe = {plan, i};
     SessionParams session_params;
     session_params.keepalive = params.keepalive;  // shared across stripes
-    if (ports_owned) {
-      session_params.owned_control_port = control_ports[static_cast<std::size_t>(i)];
-    }
+    if (ports_owned) session_params.owned_control_port = session.control_port;
     session_params.on_exit = [agg, i](const TransferHandle& handle) {
       agg->stripe_done(i, handle.sender_result());
     };
-    submit_send(stripe_options, object, std::move(session_params));
+    submit_send(session, object, std::move(session_params));
   }
-  return accepted;
+  return plan ? accepted : 0;
 }
 
 StripedResult TransferEngine::run_striped_sender(const StripedSenderOptions& options,
@@ -611,38 +447,9 @@ StripedResult TransferEngine::run_striped_receiver(const StripedReceiverOptions&
     return result;
   }
 
-  auto run_single_flow_fallback = [&]() {
-    metrics.counter("fobs.stripe.fallbacks").inc();
-    result.fallback_single_flow = true;
-    result.stripes = 1;
-    result.layout = options.layout;
-    ReceiverOptions single;
-    single.sender_host = options.sender_host;
-    single.data_port = options.data_port_base;
-    single.control_port = options.negotiation_port;
-    single.core = options.core;
-    single.checkpoint_path = options.checkpoint_base;
-    single.checkpoint_every_acks = options.checkpoint_every_acks;
-    single.endpoint = stripe_endpoint(options.endpoint, options.stripe_fault_plans, 0);
-    // A single-flow resume needs the object-level checkpoint; fold any
-    // striped sidecars from a previous attempt into it first.
-    if (!options.checkpoint_base.empty()) {
-      stripe::StripePlan prior;
-      if (stripe::StripePlan::make(spec, requested, options.layout, &prior)) {
-        merge_striped_checkpoint(options.checkpoint_base, prior);
-      }
-    }
-    auto handle = submit_receive(single, buffer);
-    handle.wait();
-    result.stripe_receivers = {handle.receiver_result()};
-    finalize_aggregate(result, spec.object_bytes);
-    result.resumable = !result.completed() && !options.checkpoint_base.empty();
-    return result;
-  };
-
   // --- FOBSSTRP negotiation ----------------------------------------------
   const auto deadline = Clock::now() + std::chrono::milliseconds(options.endpoint.timeout_ms);
-  Fd conn = connect_with_backoff(options.sender_host, options.negotiation_port, deadline);
+  Fd conn = net::connect_with_backoff(options.sender_host, options.negotiation_port, deadline);
   if (!conn.valid()) {
     result.status = TransferStatus::kPeerLost;
     result.error = "negotiation connect timeout";
@@ -658,79 +465,94 @@ StripedResult TransferEngine::run_striped_receiver(const StripedReceiverOptions&
         static_cast<std::uint16_t>(options.data_port_base + i);
   }
   const auto encoded = stripe::encode_stripe_request(request);
-  const bool sent = send_all(conn.get(), encoded.data(), encoded.size(), deadline);
-  std::vector<std::uint8_t> frame(stripe::kStripeResponseFixedSize);
-  // A legacy sender drops the connection on the unknown token: the read
-  // fails cleanly and we fall back to one plain flow.
-  if (!sent || !read_exact(conn.get(), frame.data(), frame.size(), deadline)) {
-    metrics.counter("fobs.stripe.negotiation_rejected").inc();
-    if (options.allow_single_flow_fallback) return run_single_flow_fallback();
-    result.status = TransferStatus::kPeerLost;
-    result.error = "peer rejected stripe negotiation";
-    return result;
-  }
-  const int accepted_count = (static_cast<int>(frame[11]) << 8) | frame[12];
   std::optional<stripe::StripeResponse> response;
-  if (accepted_count >= 0 && accepted_count <= stripe::kMaxStripes) {
-    frame.resize(stripe::stripe_response_size(accepted_count));
-    if (read_exact(conn.get(), frame.data() + stripe::kStripeResponseFixedSize,
-                   frame.size() - stripe::kStripeResponseFixedSize, deadline)) {
-      response = stripe::decode_stripe_response(frame.data(), frame.size());
+  const char* refusal = nullptr;
+  std::vector<std::uint8_t> frame(stripe::kStripeResponseFixedSize);
+  if (!net::send_all(conn.get(), encoded.data(), encoded.size(), deadline) ||
+      !net::read_exact(conn.get(), frame.data(), frame.size(), deadline)) {
+    // A legacy sender drops the connection on the unknown token: the
+    // read fails cleanly and we fall back to one plain flow.
+    refusal = "peer rejected stripe negotiation";
+  } else {
+    const int accepted_count = util::get_u16(frame.data() + 11);
+    if (accepted_count <= stripe::kMaxStripes) {
+      frame.resize(stripe::stripe_response_size(accepted_count));
+      if (net::read_exact(conn.get(), frame.data() + stripe::kStripeResponseFixedSize,
+                          frame.size() - stripe::kStripeResponseFixedSize, deadline)) {
+        response = stripe::decode_stripe_response(frame.data(), frame.size());
+      }
+    }
+    if (!response || response->accepted() > requested) {
+      refusal = "stripe negotiation response malformed";
+    } else if (response->accepted() == 0) {
+      // Explicit refusal: the sender is now serving one plain flow on
+      // the negotiation port.
+      refusal = "peer refused stripe negotiation";
     }
   }
   conn.reset();
-  if (!response || response->accepted() > requested) {
+
+  std::shared_ptr<const stripe::StripePlan> plan;  // null: the single-flow fallback
+  std::vector<std::uint16_t> control_ports;
+  if (refusal != nullptr) {
     metrics.counter("fobs.stripe.negotiation_rejected").inc();
-    if (options.allow_single_flow_fallback) return run_single_flow_fallback();
-    result.status = TransferStatus::kPeerLost;
-    result.error = "stripe negotiation response malformed";
-    return result;
-  }
-  if (response->accepted() == 0) {
-    // Explicit refusal: the sender is now serving one plain flow on the
-    // negotiation port.
-    metrics.counter("fobs.stripe.negotiation_rejected").inc();
-    if (options.allow_single_flow_fallback) return run_single_flow_fallback();
-    result.status = TransferStatus::kPeerLost;
-    result.error = "peer refused stripe negotiation";
-    return result;
+    if (!options.allow_single_flow_fallback) {
+      result.status = TransferStatus::kPeerLost;
+      result.error = refusal;
+      return result;
+    }
+    metrics.counter("fobs.stripe.fallbacks").inc();
+    result.fallback_single_flow = true;
+    result.stripes = 1;
+    result.layout = options.layout;
+    control_ports = {options.negotiation_port};
+    // A single-flow resume needs the object-level checkpoint; fold any
+    // striped sidecars from a previous attempt into it first.
+    if (!options.checkpoint_base.empty()) {
+      stripe::StripePlan prior;
+      if (stripe::StripePlan::make(spec, requested, options.layout, &prior)) {
+        merge_striped_checkpoint(options.checkpoint_base, prior);
+      }
+    }
+  } else {
+    stripe::StripePlan plan_value;
+    std::string plan_error;
+    if (!stripe::StripePlan::make(spec, response->accepted(), response->layout, &plan_value,
+                                  &plan_error)) {
+      result.error = "stripe plan rejected: " + plan_error;
+      return result;
+    }
+    plan = std::make_shared<const stripe::StripePlan>(std::move(plan_value));
+    result.stripes = response->accepted();
+    result.layout = response->layout;
+    control_ports = response->control_ports;
+    metrics.counter("fobs.stripe.sessions").inc(result.stripes);
+    // A previous single-flow attempt (or a merge after a degraded
+    // striped one) may have left an object-level checkpoint: split it
+    // into per-stripe sidecars so every session resumes its own slice.
+    if (!options.checkpoint_base.empty()) {
+      split_striped_checkpoint(options.checkpoint_base, *plan);
+    }
   }
 
-  const int stripes = response->accepted();
-  stripe::StripePlan plan_value;
-  std::string plan_error;
-  if (!stripe::StripePlan::make(spec, stripes, response->layout, &plan_value, &plan_error)) {
-    result.error = "stripe plan rejected: " + plan_error;
-    return result;
-  }
-  auto plan = std::make_shared<const stripe::StripePlan>(std::move(plan_value));
-  result.stripes = stripes;
-  result.layout = response->layout;
-  metrics.counter("fobs.stripe.sessions").inc(stripes);
-
-  // A previous single-flow attempt (or a merge after a degraded striped
-  // one) may have left an object-level checkpoint: split it into
-  // per-stripe sidecars so every session resumes its own slice.
-  if (!options.checkpoint_base.empty()) {
-    split_striped_checkpoint(options.checkpoint_base, *plan);
-  }
-
-  // --- per-stripe sessions ----------------------------------------------
+  // --- one receive session per stripe (one plain one for the fallback) ---
+  const int stripes = result.stripes;
   std::vector<TransferHandle> handles;
   handles.reserve(static_cast<std::size_t>(stripes));
   for (int i = 0; i < stripes; ++i) {
-    ReceiverOptions stripe_options;
-    stripe_options.sender_host = options.sender_host;
-    stripe_options.data_port = static_cast<std::uint16_t>(options.data_port_base + i);
-    stripe_options.control_port = response->control_ports[static_cast<std::size_t>(i)];
-    stripe_options.core = options.core;
-    stripe_options.checkpoint_every_acks = options.checkpoint_every_acks;
+    ReceiverOptions session;
+    session.sender_host = options.sender_host;
+    session.data_port = static_cast<std::uint16_t>(options.data_port_base + i);
+    session.control_port = control_ports[static_cast<std::size_t>(i)];
+    session.core = options.core;
+    session.checkpoint_every_acks = options.checkpoint_every_acks;
     if (!options.checkpoint_base.empty()) {
-      stripe_options.checkpoint_path = stripe_checkpoint_path(options.checkpoint_base, i);
+      session.checkpoint_path =
+          plan ? stripe_checkpoint_path(options.checkpoint_base, i) : options.checkpoint_base;
     }
-    stripe_options.endpoint = stripe_endpoint(options.endpoint, options.stripe_fault_plans, i);
-    stripe_options.stripe = {plan, i};
-    handles.push_back(submit_receive(stripe_options, buffer));
+    session.endpoint = stripe_endpoint(options.endpoint, options.stripe_fault_plans, i);
+    session.stripe = {plan, i};
+    handles.push_back(submit_receive(session, buffer));
   }
   result.stripe_receivers.resize(static_cast<std::size_t>(stripes));
   for (int i = 0; i < stripes; ++i) {
@@ -739,6 +561,10 @@ StripedResult TransferEngine::run_striped_receiver(const StripedReceiverOptions&
         handles[static_cast<std::size_t>(i)].receiver_result();
   }
   finalize_aggregate(result, spec.object_bytes);
+  if (!plan) {
+    result.resumable = !result.completed() && !options.checkpoint_base.empty();
+    return result;
+  }
   if (result.packets_restored > 0) metrics.counter("fobs.stripe.resumes").inc();
 
   // Checkpoint post-pass: completed stripes removed their sidecars, so

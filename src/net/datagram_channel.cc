@@ -1,7 +1,6 @@
 #include "net/datagram_channel.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -12,16 +11,12 @@
 #include <cstring>
 
 #include "common/log.h"
+#include "net/socket.h"
 #include "telemetry/metrics.h"
 
 namespace fobs::net {
 
 namespace {
-
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
 
 bool retryable_errno(int err) {
   return err == EWOULDBLOCK || err == EAGAIN || err == ENOBUFS || err == EINTR;
@@ -136,11 +131,8 @@ DatagramChannel DatagramChannel::open(const IoOptions& io, std::size_t max_datag
     ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &buf, sizeof buf);
   }
   if (bind_port) {
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(*bind_port);
-    addr.sin_addr.s_addr = INADDR_ANY;
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    const sockaddr_in addr = make_addr("0.0.0.0", *bind_port);
+    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
       set_error(error, "udp bind failed");
       ::close(fd);
       return channel;

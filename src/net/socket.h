@@ -1,0 +1,78 @@
+// POSIX stream-socket helpers for the real-socket drivers.
+//
+// Every TCP connection FOBS opens — the control channel of a transfer,
+// the FOBSSTRP stripe negotiation, the file server's catalog — goes
+// through these few functions, so the I/O policy lives in one place:
+//  * stream sockets are non-blocking and every read or write carries a
+//    deadline, waiting on poll() in 10 ms steps so callers stay
+//    responsive to their own cancel and stall checks;
+//  * a connect retries on a fresh socket with capped exponential
+//    backoff (5 ms doubling to 200 ms), because the peer may not be
+//    listening yet or may be a restarting incarnation.
+// The datagram side is net::DatagramChannel.
+#pragma once
+
+#include <netinet/in.h>
+
+#include <atomic>
+#include <chrono>
+#include <cstddef>
+#include <cstdint>
+#include <string>
+
+namespace fobs::net {
+
+using SocketClock = std::chrono::steady_clock;
+
+/// RAII file descriptor.
+class Fd {
+ public:
+  Fd() = default;
+  explicit Fd(int fd) : fd_(fd) {}
+  ~Fd() { reset(); }
+  Fd(Fd&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
+  Fd& operator=(Fd&& other) noexcept;
+  Fd(const Fd&) = delete;
+  Fd& operator=(const Fd&) = delete;
+
+  [[nodiscard]] int get() const { return fd_; }
+  [[nodiscard]] bool valid() const { return fd_ >= 0; }
+  void reset();
+
+ private:
+  int fd_ = -1;
+};
+
+/// IPv4 socket address for a dotted-quad `host` and `port`.
+[[nodiscard]] sockaddr_in make_addr(const std::string& host, std::uint16_t port);
+
+bool set_nonblocking(int fd);
+
+/// Non-blocking TCP listener on 0.0.0.0:`port` (SO_REUSEADDR set).
+/// Invalid Fd when the socket cannot be created, bound or listened on.
+[[nodiscard]] Fd listen_tcp(std::uint16_t port, int backlog);
+
+/// Accepts one connection on a non-blocking `listener`, waiting until
+/// `deadline`; a deadline already past makes exactly one attempt. The
+/// connection comes back non-blocking, with the peer's dotted-quad
+/// address in `peer_host` when that is non-null. Invalid Fd when
+/// nobody connected in time.
+[[nodiscard]] Fd accept_until(int listener, SocketClock::time_point deadline,
+                              std::string* peer_host = nullptr);
+
+/// Connects to host:port, retrying with capped exponential backoff
+/// until `deadline` or until `cancel` (optional) is set. The connection
+/// comes back non-blocking. Invalid Fd on failure.
+[[nodiscard]] Fd connect_with_backoff(const std::string& host, std::uint16_t port,
+                                      SocketClock::time_point deadline,
+                                      const std::atomic<bool>* cancel = nullptr);
+
+/// Writes all `len` bytes to a stream socket, waiting for writability,
+/// until done, a hard error, or `deadline`.
+bool send_all(int fd, const void* data, std::size_t len, SocketClock::time_point deadline);
+
+/// Reads exactly `len` bytes from a stream socket. False on EOF before
+/// the last byte, a hard error, or `deadline`.
+bool read_exact(int fd, void* out, std::size_t len, SocketClock::time_point deadline);
+
+}  // namespace fobs::net

@@ -54,6 +54,19 @@ int connect_tcp(std::uint16_t port) {
   return fd;
 }
 
+/// Waits (bounded) until the server has accounted every transfer it
+/// started. It counts one in the session's exit hook, which runs after
+/// its sender read the completion token — possibly after fetch_file
+/// has already returned on the client side.
+void wait_transfers_settled(const posix::FileServer& server) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.transfers_completed() + server.transfers_failed() !=
+             server.transfers_started() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Acceptance: >= 3 overlapping fetches from distinct clients
 // ---------------------------------------------------------------------------
@@ -101,6 +114,7 @@ TEST(FileServer, ThreeOverlappingFetchesAreByteIdentical) {
     EXPECT_EQ(fetched->size(), sizes[i]);
     EXPECT_EQ(fetched->checksum(), checksums[i]);
   }
+  wait_transfers_settled(server);
   EXPECT_EQ(server.requests_handled(), sizes.size());
   EXPECT_EQ(server.transfers_started(), sizes.size());
   EXPECT_EQ(server.transfers_completed(), sizes.size());
@@ -149,6 +163,7 @@ TEST(FileServer, SilentCatalogClientTimesOutAndServiceContinues) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   EXPECT_EQ(server.catalog_timeouts(), 1u);
+  wait_transfers_settled(server);
   EXPECT_EQ(server.transfers_completed(), 1u);
   ::close(silent);
   server.stop();

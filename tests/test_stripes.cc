@@ -11,7 +11,8 @@
 //    transfer lands byte-identical (checksum-verified); killing one
 //    stripe's flow mid-transfer degrades but stays resumable, and the
 //    resume completes byte-identical; a striped fetch against a plain
-//    pre-striping sender falls back to one flow cleanly.
+//    pre-striping sender falls back to one flow cleanly, and so does a
+//    striped sender with no control ports left.
 //
 // Port block: 37300-37499 (test_engine owns 37000-37099, fileserver
 // 37100-37199, fault suites 38xxx/39xxx).
@@ -39,6 +40,7 @@
 #include "fobs/stripe/negotiate.h"
 #include "fobs/stripe/plan.h"
 #include "fobs/stripe/striped_transfer.h"
+#include "telemetry/metrics.h"
 
 namespace fobs {
 namespace {
@@ -596,6 +598,48 @@ TEST(StripedTransfer, FallsBackToOneFlowAgainstPlainSender) {
   EXPECT_TRUE(result.fallback_single_flow);
   EXPECT_EQ(result.stripes, 1);
   EXPECT_EQ(handle.wait(), posix::TransferStatus::kCompleted);
+  EXPECT_EQ(std::memcmp(buffer.data(), object.view().data(), buffer.size()), 0);
+}
+
+TEST(StripedTransfer, SenderOutOfControlPortsServesOneFlowOnTheNegotiationPort) {
+  constexpr std::int64_t kObjectBytes = 1 * 1024 * 1024 + 77;
+  constexpr std::int64_t kPacketBytes = 4 * 1024;
+  auto object = core::TransferObject::pattern(kObjectBytes, 0x0F0F);
+  std::vector<std::uint8_t> buffer(static_cast<std::size_t>(kObjectBytes), 0);
+
+  // The sender's allocator holds one control port, already leased: no
+  // stripe block fits, so the sender refuses striping and both sides
+  // degrade to one plain flow on the negotiation port.
+  posix::EngineOptions sender_options;
+  sender_options.workers = 1;
+  sender_options.control_port_base = 37494;
+  sender_options.control_port_count = 1;
+  posix::TransferEngine sender_engine(sender_options);
+  ASSERT_TRUE(sender_engine.allocate_control_port().has_value());
+  posix::EngineOptions receiver_options;
+  receiver_options.workers = 1;
+  posix::TransferEngine receiver_engine(receiver_options);
+
+  posix::StripedSenderOptions send;
+  send.negotiation_port = 37490;
+  send.endpoint.packet_bytes = kPacketBytes;
+  posix::StripedReceiverOptions recv;
+  recv.negotiation_port = 37490;
+  recv.data_port_base = 37491;
+  recv.stripes = 2;
+  recv.endpoint.packet_bytes = kPacketBytes;
+
+  auto& fallbacks = telemetry::MetricsRegistry::global().counter("fobs.stripe.fallbacks");
+  const auto fallbacks_before = fallbacks.value();
+  const auto run =
+      run_striped_loopback(sender_engine, receiver_engine, send, recv, object.view(), buffer);
+  ASSERT_TRUE(run.receiver.completed()) << run.receiver.error;
+  ASSERT_TRUE(run.sender.completed()) << run.sender.error;
+  EXPECT_TRUE(run.sender.fallback_single_flow);
+  EXPECT_TRUE(run.receiver.fallback_single_flow);
+  EXPECT_EQ(run.sender.stripes, 1);
+  EXPECT_EQ(run.receiver.stripes, 1);
+  EXPECT_EQ(fallbacks.value() - fallbacks_before, 2);  // one per side
   EXPECT_EQ(std::memcmp(buffer.data(), object.view().data(), buffer.size()), 0);
 }
 
