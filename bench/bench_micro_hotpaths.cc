@@ -20,6 +20,8 @@
 #include <vector>
 
 #include "common/bitmap.h"
+#include "common/crc32.h"
+#include "common/crc32_detail.h"
 #include "common/rng.h"
 #include "exp/runner.h"
 #include "fobs/ack.h"
@@ -154,6 +156,26 @@ void BM_SimulateWholeTransfer(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * mb * 1024);  // packets simulated
 }
 BENCHMARK(BM_SimulateWholeTransfer)->Arg(4)->Arg(40)->Unit(benchmark::kMillisecond);
+
+/// The per-packet payload checksum: arg 0 picks the path (0 = the
+/// dispatched crc32(), 1 = the portable byte-at-a-time path), arg 1 the
+/// payload size in bytes.
+void BM_Crc32(benchmark::State& state) {
+  const bool portable = state.range(0) == 1;
+  const auto len = static_cast<std::size_t>(state.range(1));
+  Rng rng(3);
+  std::vector<std::uint8_t> payload(len);
+  for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next());
+  for (auto _ : state) {
+    const std::uint32_t crc = portable
+                                  ? fobs::util::detail::crc32_portable(payload.data(), len, 0)
+                                  : fobs::util::crc32(payload.data(), len);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(len));
+  state.SetLabel(portable ? "portable" : "dispatched");
+}
+BENCHMARK(BM_Crc32)->Args({0, 1024})->Args({0, 8192})->Args({1, 1024})->Args({1, 8192});
 
 // ---------------------------------------------------------------------------
 // Datagram I/O layer: batched vs fallback over loopback

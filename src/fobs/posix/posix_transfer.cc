@@ -405,7 +405,8 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
         control_buf.erase(control_buf.begin(),
                           control_buf.begin() + static_cast<std::ptrdiff_t>(frame_size));
         if (frame && frame->packet_count == spec.packet_count()) {
-          core.on_resume(frame->bitmap.data(), frame->bitmap.size(), frame->packet_count);
+          result.packets_resumed +=
+              core.on_resume(frame->bitmap.data(), frame->bitmap.size(), frame->packet_count);
           metrics.counter("fobs.fault.resumes").inc();
         }
       }
@@ -425,7 +426,9 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
       }
     }
 
-    if (core.all_acked()) {
+    // The first control accept gates data (see docs/PROTOCOL.md): until
+    // then the receiver's data port may not be bound yet.
+    if (!control_ever_connected || core.all_acked()) {
       // Nothing useful to send; sleep on the actual fds (fresher ACKs
       // on the data socket, the completion token on the control side)
       // instead of napping a fixed interval, so completion latency does

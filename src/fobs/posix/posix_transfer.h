@@ -67,6 +67,10 @@ struct SenderResult {
   /// Control-channel connections accepted after the first one (a
   /// restarted receiver reconnecting).
   int reconnects = 0;
+  /// Packets marked received by resume frames rather than by ACKs: the
+  /// sends a restarted receiver's checkpoint saved (summed over every
+  /// resume frame applied).
+  std::int64_t packets_resumed = 0;
   /// Data-plane I/O counters for this transfer's datagram channel
   /// (syscalls, datagrams, payload copy bytes avoided by the gather
   /// path).

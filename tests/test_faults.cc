@@ -1,6 +1,7 @@
 // Unit tests for the robustness building blocks: the fault-plan
-// grammar and injector, the CRC32 helper, the resume-frame codec, and
-// the checkpoint sidecar format.
+// grammar and injector, the CRC32 helper (both implementations against
+// a bitwise reference), the resume-frame codec, and the checkpoint
+// sidecar format.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,6 +10,8 @@
 #include <vector>
 
 #include "common/crc32.h"
+#include "common/crc32_detail.h"
+#include "common/rng.h"
 #include "fobs/posix/checkpoint.h"
 #include "fobs/posix/codec.h"
 #include "net/faults.h"
@@ -49,6 +52,72 @@ TEST(Crc32, DetectsSingleBitFlips) {
     EXPECT_NE(util::crc32(data.data(), data.size()), clean);
     data[pos] ^= 0x01;
   }
+}
+
+// Differential checks: the dispatched CRC and each implementation
+// behind it against a plain bitwise oracle, across the lengths where
+// the folding path switches strategy (64-byte lanes, 16-byte blocks,
+// the byte tail), every alignment, and every seed split.
+
+std::uint32_t reference_crc32(const std::uint8_t* data, std::size_t len, std::uint32_t seed) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+using CrcFn = std::uint32_t (*)(const std::uint8_t*, std::size_t, std::uint32_t);
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
+  return out;
+}
+
+void expect_matches_reference(CrcFn crc, const char* name) {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  for (const std::size_t n : {1023, 1024, 1025, 8191, 8192, 8193, 64 * 1024}) {
+    lengths.push_back(n);
+  }
+  constexpr std::size_t kMaxOffset = 15;
+  const auto buffer = random_bytes(64 * 1024 + kMaxOffset, 0xC3C32);
+  for (const std::size_t len : lengths) {
+    for (std::size_t offset = 0; offset <= kMaxOffset; ++offset) {
+      const std::uint8_t* data = buffer.data() + offset;
+      const std::uint32_t seed = static_cast<std::uint32_t>(len * 2654435761u + offset);
+      ASSERT_EQ(crc(data, len, 0), reference_crc32(data, len, 0))
+          << name << " len=" << len << " offset=" << offset;
+      ASSERT_EQ(crc(data, len, seed), reference_crc32(data, len, seed))
+          << name << " seeded, len=" << len << " offset=" << offset;
+    }
+  }
+
+  const auto chain = random_bytes(200, 0x5EED);
+  const std::uint32_t whole = reference_crc32(chain.data(), chain.size(), 0);
+  for (std::size_t split = 0; split <= chain.size(); ++split) {
+    const std::uint32_t head = crc(chain.data(), split, 0);
+    ASSERT_EQ(crc(chain.data() + split, chain.size() - split, head), whole)
+        << name << " split=" << split;
+  }
+}
+
+TEST(Crc32, DispatchedMatchesBitwiseReference) {
+  expect_matches_reference(util::crc32, "dispatched");
+}
+
+TEST(Crc32, PortableMatchesBitwiseReference) {
+  expect_matches_reference(util::detail::crc32_portable, "portable");
+}
+
+TEST(Crc32, PclmulMatchesBitwiseReference) {
+  if (!util::detail::crc32_pclmul_supported()) {
+    GTEST_SKIP() << "this CPU lacks PCLMULQDQ/SSE4.1";
+  }
+  expect_matches_reference(util::detail::crc32_pclmul, "pclmul");
 }
 
 // ---------------------------------------------------------------------------

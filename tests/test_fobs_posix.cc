@@ -134,6 +134,9 @@ TEST(FobsPosixTransfer, SenderTimesOutWithNoReceiver) {
   EXPECT_FALSE(result.completed());
   EXPECT_EQ(result.status, posix::TransferStatus::kTimeout);
   EXPECT_FALSE(result.error.empty());
+  // No receiver ever connected its control channel, so no data went out.
+  EXPECT_EQ(result.packets_sent, 0);
+  EXPECT_EQ(result.io.datagrams_sent, 0u);
   // Must give up at its deadline, not hang (generous slack for CI).
   EXPECT_LT(elapsed_ms, opts.endpoint.timeout_ms + 5'000);
 
