@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/log.h"
 #include "common/thread_pool.h"
 #include "fobs/posix/port_allocator.h"
 #include "net/socket.h"
@@ -35,9 +36,6 @@ struct Session {
   std::shared_ptr<void> keepalive;
   std::uint16_t owned_control_port = 0;
   std::function<void(const TransferHandle&)> on_exit;
-  /// Engine-owned tracer (EngineOptions::session_tracers) when the
-  /// submitted options carried none.
-  std::unique_ptr<fobs::telemetry::EventTracer> owned_tracer;
 
   /// Polled by the driver loop once per iteration.
   std::atomic<bool> cancel{false};
@@ -106,13 +104,6 @@ const ReceiverResult& TransferHandle::receiver_result() const {
 }
 
 bool TransferHandle::is_sender() const { return session_ && session_->is_sender; }
-
-fobs::telemetry::EventTracer* TransferHandle::tracer() const {
-  if (!session_) return nullptr;
-  if (session_->owned_tracer) return session_->owned_tracer.get();
-  return session_->is_sender ? session_->send_options.endpoint.tracer
-                             : session_->recv_options.endpoint.tracer;
-}
 
 // ---------------------------------------------------------------------------
 // TransferEngine
@@ -190,10 +181,6 @@ TransferHandle TransferEngine::submit_send(const SenderOptions& options,
   session->is_sender = true;
   session->send_options = options;
   session->object = object;
-  if (impl_->options.session_tracers && session->send_options.endpoint.tracer == nullptr) {
-    session->owned_tracer = std::make_unique<fobs::telemetry::EventTracer>();
-    session->send_options.endpoint.tracer = session->owned_tracer.get();
-  }
   return submit(std::move(session), std::move(params));
 }
 
@@ -204,33 +191,47 @@ TransferHandle TransferEngine::submit_receive(const ReceiverOptions& options,
   session->is_sender = false;
   session->recv_options = options;
   session->buffer = buffer;
-  if (impl_->options.session_tracers && session->recv_options.endpoint.tracer == nullptr) {
-    session->owned_tracer = std::make_unique<fobs::telemetry::EventTracer>();
-    session->recv_options.endpoint.tracer = session->owned_tracer.get();
-  }
   return submit(std::move(session), std::move(params));
 }
 
 void TransferEngine::run_session(const std::shared_ptr<detail::Session>& session) {
   session->set_status(TransferStatus::kRunning);
-  TransferStatus final_status;
+  // EngineOptions::trace_dir: an untraced session records into a tracer
+  // that lives for the run and is written out before the session turns
+  // terminal, so a waiter finds the file complete.
+  auto& endpoint = session->is_sender ? session->send_options.endpoint
+                                      : session->recv_options.endpoint;
+  std::optional<fobs::telemetry::EventTracer> trace;
+  if (!impl_->options.trace_dir.empty() && endpoint.tracer == nullptr) {
+    endpoint.tracer = &trace.emplace();
+  }
+  SenderResult sender_result;
+  ReceiverResult receiver_result;
   if (session->is_sender) {
-    auto result = detail::run_sender(session->send_options, session->object, &session->cancel);
-    final_status = result.status;
-    {
-      std::lock_guard lock(session->mu);
-      session->sender_result = std::move(result);
-      session->status = final_status;
-    }
+    sender_result =
+        detail::run_sender(session->send_options, session->object, &session->cancel);
   } else {
-    auto result =
+    receiver_result =
         detail::run_receiver(session->recv_options, session->buffer, &session->cancel);
-    final_status = result.status;
-    {
-      std::lock_guard lock(session->mu);
-      session->receiver_result = std::move(result);
-      session->status = final_status;
+  }
+  const TransferStatus final_status =
+      session->is_sender ? sender_result.status : receiver_result.status;
+  if (trace) {
+    endpoint.tracer = nullptr;
+    const int stripe = session->is_sender ? session->send_options.stripe.index
+                                          : session->recv_options.stripe.index;
+    const std::string path = impl_->options.trace_dir + "/session_" +
+                             std::to_string(session->id) + "_s" + std::to_string(stripe) +
+                             ".jsonl";
+    if (!trace->write_jsonl_file(path)) {
+      FOBS_WARN("fobs.engine", "failed writing trace " << path);
     }
+  }
+  {
+    std::lock_guard lock(session->mu);
+    session->sender_result = std::move(sender_result);
+    session->receiver_result = std::move(receiver_result);
+    session->status = final_status;
   }
   session->cv.notify_all();
   if (final_status == TransferStatus::kCompleted) {

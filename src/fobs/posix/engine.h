@@ -7,7 +7,7 @@
 // with its own batched DatagramChannel for the data plane (tuned via
 // EndpointOptions::io — sendmmsg/recvmmsg batch sizes, socket buffers,
 // forced batched/fallback mode), its own control connection, its own
-// EventTracer (when requested), and the full PR-2 fault/checkpoint
+// EventTracer (when requested), and the full fault/checkpoint
 // machinery. The caller holds a TransferHandle and can wait(),
 // poll status(), or cancel() the session at any time.
 //
@@ -36,6 +36,7 @@ struct StripedSenderOptions;
 struct StripedReceiverOptions;
 struct StripedResult;
 struct StripedSessionParams;
+struct StripeLaunch;
 
 namespace detail {
 struct Session;
@@ -75,11 +76,6 @@ class TransferHandle {
   [[nodiscard]] const ReceiverResult& receiver_result() const;
   [[nodiscard]] bool is_sender() const;
 
-  /// The session's tracer: the caller-supplied one if the options had
-  /// one, else the engine-owned per-session tracer when the engine was
-  /// created with `session_tracers`, else nullptr.
-  [[nodiscard]] fobs::telemetry::EventTracer* tracer() const;
-
  private:
   friend class TransferEngine;
   explicit TransferHandle(std::shared_ptr<detail::Session> session)
@@ -97,9 +93,12 @@ struct EngineOptions {
   /// Zero count disables the allocator.
   std::uint16_t control_port_base = 0;
   std::uint16_t control_port_count = 0;
-  /// When true, every session whose options carry no tracer gets an
-  /// engine-owned EventTracer, reachable via TransferHandle::tracer().
-  bool session_tracers = false;
+  /// When non-empty, every session whose options carry no tracer
+  /// records into an engine-owned EventTracer, written to
+  /// `<trace_dir>/session_<id>_s<stripe>.jsonl` (stripe 0 for an
+  /// unstriped session) before the session turns terminal. Sessions
+  /// with a caller-supplied tracer are left to the caller.
+  std::string trace_dir = {};
 };
 
 /// Per-submission extras beyond the transfer options.
@@ -155,8 +154,8 @@ class TransferEngine {
   void release_control_port_block(std::uint16_t first, std::size_t count);
 
   /// Striped transfers (see fobs/stripe/striped_transfer.h): negotiate
-  /// FOBSSTRP with the peer, run one session per stripe on this
-  /// engine's pool, and aggregate. Blocking — do not call from a pool
+  /// FOBSSTRP with the peer, then launch one session per stripe on this
+  /// engine's pool and aggregate. Blocking — do not call from a pool
   /// worker of this engine (the stripes need those workers); service
   /// front-ends use submit_striped_send, whose negotiation runs inline
   /// but whose aggregation completes via StripedSessionParams callbacks.
@@ -165,12 +164,23 @@ class TransferEngine {
   StripedResult run_striped_receiver(const StripedReceiverOptions& options,
                                      std::span<std::uint8_t> buffer);
   /// Negotiates inline, then launches the per-stripe sender sessions
-  /// without waiting for them. Returns the accepted stripe count
-  /// (0 = negotiation produced a clean single-flow fallback session);
-  /// nullopt when nothing was launched (`error` says why).
-  std::optional<int> submit_striped_send(const StripedSenderOptions& options,
-                                         std::span<const std::uint8_t> object,
-                                         StripedSessionParams params, std::string* error = nullptr);
+  /// without waiting for them. False when nothing was launched
+  /// (`error` says why).
+  bool submit_striped_send(const StripedSenderOptions& options,
+                           std::span<const std::uint8_t> object, StripedSessionParams params,
+                           std::string* error = nullptr);
+  /// The launch step alone, for a plan that needs no negotiation:
+  /// starts one session per stripe of `launch` and aggregates them. The
+  /// sender form returns at once (false, with `error`, when nothing was
+  /// launched) and reports through `params.on_complete`; the receiver
+  /// form blocks like run_striped_receiver and runs the checkpoint
+  /// passes.
+  bool launch_striped_send(const StripedSenderOptions& options,
+                           std::span<const std::uint8_t> object, const StripeLaunch& launch,
+                           StripedSessionParams params, std::string* error = nullptr);
+  StripedResult launch_striped_receive(const StripedReceiverOptions& options,
+                                       std::span<std::uint8_t> buffer,
+                                       const StripeLaunch& launch);
 
   /// Binds a TCP listener on `port` and dispatches every accepted
   /// connection to the worker pool as `handler(fd, peer_host)`. The

@@ -3,16 +3,12 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <thread>
-#include <vector>
 
-#include "common/log.h"
 #include "fobs/object.h"
 #include "fobs/stripe/striped_transfer.h"
 #include "net/socket.h"
@@ -86,7 +82,7 @@ bool FileServer::start() {
   engine_options.workers = options_.workers;
   engine_options.control_port_base = options_.control_port_base;
   engine_options.control_port_count = options_.control_port_count;
-  engine_options.session_tracers = !options_.trace_dir.empty();
+  engine_options.trace_dir = options_.trace_dir;
   engine_ = std::make_unique<TransferEngine>(engine_options);
   if (!engine_->start_acceptor(options_.catalog_port, [this](int fd, std::string peer) {
         handle_catalog(fd, peer);
@@ -138,6 +134,10 @@ void FileServer::handle_catalog(int fd, const std::string& peer_host) {
   auto reply = [&](const std::string& line) {
     net::send_all(fd, line.data(), line.size(), deadline);
   };
+  auto refuse = [&] {
+    refused_.fetch_add(1, std::memory_order_relaxed);
+    reply("-1 0\n");
+  };
   const auto space = request.find(' ');
   const std::string name = request.substr(0, space);
   int client_port = 0;
@@ -145,105 +145,70 @@ void FileServer::handle_catalog(int fd, const std::string& peer_host) {
   if (space != std::string::npos) {
     std::sscanf(request.c_str() + space + 1, "%d %d", &client_port, &client_stripes);
   }
-  const bool striped = client_stripes > 1 && options_.max_stripes > 1;
 
-  if (stopping_.load(std::memory_order_relaxed)) {
-    // Shed the request instead of starting a session the shutdown
-    // would immediately cancel.
-    refused_.fetch_add(1, std::memory_order_relaxed);
-    reply("-1 0\n");
-    return;
-  }
+  // A shutdown would cancel a new session at once: shed the request.
+  if (stopping_.load(std::memory_order_relaxed)) return refuse();
   auto mapped = name_is_safe(name)
                     ? fobs::core::TransferObject::map_file(options_.dir + "/" + name)
                     : std::nullopt;
-  if (!mapped || client_port <= 0 || client_port > 65535) {
-    refused_.fetch_add(1, std::memory_order_relaxed);
-    reply("-1 0\n");
-    return;
-  }
+  if (!mapped || client_port <= 0 || client_port > 65535) return refuse();
   const auto control_port = engine_->allocate_control_port();
   if (!control_port) {
     // Every control port is carrying a transfer: shed load instead of
     // queueing a session that could not listen anywhere.
-    refused_.fetch_add(1, std::memory_order_relaxed);
     telemetry::MetricsRegistry::global().counter("fobs.fileserver.port_exhausted").inc();
-    reply("-1 0\n");
-    return;
+    return refuse();
   }
   auto object = std::make_shared<fobs::core::TransferObject>(std::move(*mapped));
   reply(std::to_string(object->size()) + " " + std::to_string(*control_port) + "\n");
   conn.reset();  // catalog exchange done; the transfer session takes over
 
-  if (striped) {
-    // The replied control port becomes the FOBSSTRP negotiation port;
-    // per-stripe control ports come out of the same engine allocator.
-    StripedSenderOptions striped_options;
-    striped_options.negotiation_port = *control_port;
-    striped_options.negotiation_port_owned = true;
-    striped_options.max_stripes =
-        std::min(options_.max_stripes, std::min(client_stripes, stripe::kMaxStripes));
-    striped_options.endpoint = options_.endpoint;
-    StripedSessionParams striped_params;
-    striped_params.keepalive = object;
-    striped_params.on_complete = [this, name, peer_host,
-                                  client_port](const StripedResult& result) {
-      if (result.completed()) {
-        completed_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        failed_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (!options_.quiet) {
-        std::printf("fobsd: %s -> %s:%d  %s (%d stripe%s%s, %.0f Mb/s)\n", name.c_str(),
-                    peer_host.c_str(), client_port, to_string(result.status),
-                    result.stripes, result.stripes == 1 ? "" : "s",
-                    result.fallback_single_flow ? ", fallback" : "", result.goodput_mbps);
-      }
-    };
-    started_.fetch_add(1, std::memory_order_relaxed);
-    std::string striped_error;
-    if (!engine_->submit_striped_send(striped_options, object->view(),
-                                      std::move(striped_params), &striped_error)) {
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      if (!options_.quiet) {
-        std::printf("fobsd: %s -> %s:%d  striped launch failed: %s\n", name.c_str(),
-                    peer_host.c_str(), client_port, striped_error.c_str());
-      }
-    }
-    return;
-  }
-
-  SenderOptions send_options;
-  send_options.receiver_host = peer_host;
-  send_options.data_port = static_cast<std::uint16_t>(client_port);
-  send_options.control_port = *control_port;
+  StripedSenderOptions send_options;
+  send_options.negotiation_port = *control_port;
+  send_options.negotiation_port_owned = true;
+  send_options.max_stripes =
+      std::min(options_.max_stripes, std::min(client_stripes, stripe::kMaxStripes));
   send_options.endpoint = options_.endpoint;
-
-  SessionParams params;
+  StripedSessionParams params;
   params.keepalive = object;
-  params.owned_control_port = *control_port;
-  params.on_exit = [this, name, peer_host, client_port](const TransferHandle& handle) {
-    const auto& result = handle.sender_result();
+  params.on_complete = [this, name, peer_host, client_port](const StripedResult& result) {
     if (result.completed()) {
       completed_.fetch_add(1, std::memory_order_relaxed);
     } else {
       failed_.fetch_add(1, std::memory_order_relaxed);
     }
     if (!options_.quiet) {
-      std::printf("fobsd: %s -> %s:%d  %s (%.0f Mb/s, waste %.2f%%)\n", name.c_str(),
-                  peer_host.c_str(), client_port, to_string(result.status),
-                  result.goodput_mbps, 100.0 * result.waste);
-    }
-    if (!options_.trace_dir.empty() && handle.tracer() != nullptr) {
-      const std::string path = options_.trace_dir + "/fobsd_serve_" +
-                               std::to_string(handle.id()) + ".jsonl";
-      if (!handle.tracer()->write_jsonl_file(path)) {
-        FOBS_WARN("fobs.fileserver", "failed writing trace " << path);
-      }
+      std::printf("fobsd: %s -> %s:%d  %s (%d stripe%s%s, %.0f Mb/s)\n", name.c_str(),
+                  peer_host.c_str(), client_port, to_string(result.status), result.stripes,
+                  result.stripes == 1 ? "" : "s",
+                  result.fallback_single_flow ? ", fallback" : "", result.goodput_mbps);
     }
   };
   started_.fetch_add(1, std::memory_order_relaxed);
-  engine_->submit_send(send_options, object->view(), std::move(params));
+  std::string error;
+  // A striped request turns the replied control port into the FOBSSTRP
+  // negotiation port. Anything else is already a settled 1-stripe plan:
+  // the reply fixed both of its ports, so it launches without a
+  // negotiation round trip — and a pre-striping client sees exactly the
+  // plain exchange it expects.
+  const bool launched =
+      client_stripes > 1 && send_options.max_stripes > 1
+          ? engine_->submit_striped_send(send_options, object->view(), std::move(params),
+                                         &error)
+          : engine_->launch_striped_send(
+                send_options, object->view(),
+                StripeLaunch{.peer_host = peer_host,
+                             .data_ports = {static_cast<std::uint16_t>(client_port)},
+                             .control_ports = {*control_port},
+                             .control_ports_owned = true},
+                std::move(params), &error);
+  if (!launched) {
+    failed_.fetch_add(1, std::memory_order_relaxed);
+    if (!options_.quiet) {
+      std::printf("fobsd: %s -> %s:%d  launch failed: %s\n", name.c_str(), peer_host.c_str(),
+                  client_port, error.c_str());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -259,39 +224,25 @@ FetchResult fetch_file(const FetchOptions& options) {
     return result;
   }
 
-  // Catalog exchange, retrying the connect (the server may still be
-  // starting). Each attempt gets a fresh socket: POSIX leaves a socket
-  // in an unspecified state after a failed connect(), so reusing it can
-  // fail spuriously off-Linux.
-  const sockaddr_in addr = net::make_addr(options.host, options.catalog_port);
-  int conn = -1;
-  int attempts = 0;
-  for (;;) {
-    conn = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (conn < 0) {
-      result.status = TransferStatus::kSocketError;
-      result.error = "socket failed";
-      return result;
-    }
-    if (::connect(conn, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0) break;
-    ::close(conn);
-    if (++attempts > std::max(1, options.connect_attempts)) {
-      result.status = TransferStatus::kPeerLost;
-      result.error = "catalog connect failed";
-      return result;
-    }
-    ::usleep(20'000);
+  // Catalog exchange. The connect retries with backoff (the server may
+  // still be starting); connect, request and reply share one deadline.
+  const auto catalog_deadline =
+      Clock::now() + std::chrono::milliseconds(std::max(1, options.endpoint.timeout_ms));
+  net::Fd conn =
+      net::connect_with_backoff(options.host, options.catalog_port, catalog_deadline);
+  if (!conn.valid()) {
+    result.status = TransferStatus::kPeerLost;
+    result.error = "catalog connect failed";
+    return result;
   }
   const int stripes = std::min(std::max(options.stripes, 1), stripe::kMaxStripes);
   std::string catalog_line = options.name + " " + std::to_string(options.data_port);
   if (stripes > 1) catalog_line += " " + std::to_string(stripes);
   catalog_line += "\n";
-  const auto catalog_deadline =
-      Clock::now() + std::chrono::milliseconds(std::max(1, options.endpoint.timeout_ms));
-  net::send_all(conn, catalog_line.data(), catalog_line.size(), catalog_deadline);
+  net::send_all(conn.get(), catalog_line.data(), catalog_line.size(), catalog_deadline);
   std::string reply;
-  const bool got_reply = recv_line(conn, catalog_deadline, reply);
-  ::close(conn);
+  const bool got_reply = recv_line(conn.get(), catalog_deadline, reply);
+  conn.reset();
   long long size = -1;
   int control_port = 0;
   if (got_reply) std::sscanf(reply.c_str(), "%lld %d", &size, &control_port);
@@ -322,82 +273,49 @@ FetchResult fetch_file(const FetchOptions& options) {
   }
   auto partial = fobs::core::TransferObject::map_file_rw(partial_path,
                                                          static_cast<std::int64_t>(size));
-  ReceiverOptions recv_options;
-  recv_options.sender_host = options.host;
-  recv_options.data_port = options.data_port;
-  recv_options.control_port = static_cast<std::uint16_t>(control_port);
-  recv_options.endpoint = options.endpoint;
-  std::vector<std::uint8_t> fallback;
-  std::span<std::uint8_t> buffer;
-  if (partial) {
-    // Checkpointing is only safe with the file-backed buffer.
-    recv_options.checkpoint_path = checkpoint_path;
-    buffer = partial->mutable_view();
-  } else {
-    if (!options.quiet) {
-      std::printf("fobsd: cannot map %s; fetching without resume support\n",
-                  partial_path.c_str());
-    }
-    remove_striped_checkpoints(checkpoint_path);
-    fallback.resize(static_cast<std::size_t>(size));
-    buffer = fallback;
+  if (!partial) {
+    result.status = TransferStatus::kSocketError;
+    result.error = "cannot map " + partial_path;
+    return result;
   }
-  if (stripes > 1) {
-    // Striped fetch: negotiate FOBSSTRP on the replied control port and
-    // run one receive session per stripe on a local engine, all writing
-    // the shared mapping at plan offsets.
-    StripedReceiverOptions striped;
-    striped.sender_host = options.host;
-    striped.negotiation_port = static_cast<std::uint16_t>(control_port);
-    striped.data_port_base = options.data_port;
-    striped.stripes = stripes;
-    striped.layout = options.layout;
-    if (partial) striped.checkpoint_base = checkpoint_path;
-    striped.endpoint = options.endpoint;
-    EngineOptions engine_options;
-    engine_options.workers = static_cast<std::size_t>(stripes);
-    TransferEngine engine(engine_options);
-    const StripedResult striped_result = engine.run_striped_receiver(striped, buffer);
-    result.status = striped_result.status;
-    result.error = striped_result.error;
-    result.packets_restored = striped_result.packets_restored;
-    result.goodput_mbps = striped_result.goodput_mbps;
-    result.stripes = striped_result.stripes;
-    result.fallback_single_flow = striped_result.fallback_single_flow;
-    if (!options.quiet && striped_result.fallback_single_flow) {
-      std::printf("fobsd: server declined striping; fetched over one flow\n");
-    }
-  } else {
-    const auto recv_result = receive_object(recv_options, buffer);
-    result.status = recv_result.status;
-    result.error = recv_result.error;
-    result.packets_restored = recv_result.packets_restored;
-    result.goodput_mbps = recv_result.goodput_mbps;
-    result.stripes = 1;
+  StripedReceiverOptions receive;
+  receive.sender_host = options.host;
+  receive.negotiation_port = static_cast<std::uint16_t>(control_port);
+  receive.data_port_base = options.data_port;
+  receive.stripes = stripes;
+  receive.layout = options.layout;
+  receive.checkpoint_base = checkpoint_path;
+  receive.endpoint = options.endpoint;
+  // Every stripe's receive session writes the mapping at plan offsets.
+  // One stripe needs no negotiation: the catalog reply fixed its ports.
+  TransferEngine engine(EngineOptions{.workers = static_cast<std::size_t>(stripes)});
+  const StripedResult received =
+      stripes > 1 ? engine.run_striped_receiver(receive, partial->mutable_view())
+                  : engine.launch_striped_receive(
+                        receive, partial->mutable_view(),
+                        StripeLaunch{.data_ports = {options.data_port},
+                                     .control_ports = {receive.negotiation_port}});
+  result.status = received.status;
+  result.error = received.error;
+  result.packets_restored = received.packets_restored;
+  result.goodput_mbps = received.goodput_mbps;
+  result.stripes = received.stripes;
+  result.fallback_single_flow = received.fallback_single_flow;
+  if (!options.quiet && received.fallback_single_flow) {
+    std::printf("fobsd: server declined striping; fetched over one flow\n");
   }
-  if (partial) partial->sync();
+  partial->sync();
   if (!result.completed()) {
-    if (partial && !options.quiet) {
+    if (!options.quiet) {
       std::printf("fobsd: kept partial bytes in %s for resume\n", partial_path.c_str());
     }
     return result;
   }
-  if (partial) {
-    result.checksum = partial->checksum();
-    partial.reset();  // unmap before renaming into place
-    if (std::rename(partial_path.c_str(), options.out_path.c_str()) != 0) {
-      result.status = TransferStatus::kSocketError;
-      result.error = "cannot move " + partial_path + " to " + options.out_path;
-      return result;
-    }
-  } else {
-    auto object = fobs::core::TransferObject::from_vector(std::move(fallback));
-    if (!object.write_to_file(options.out_path)) {
-      result.status = TransferStatus::kSocketError;
-      result.error = "cannot write " + options.out_path;
-      return result;
-    }
-    result.checksum = object.checksum();
+  result.checksum = partial->checksum();
+  partial.reset();  // unmap before renaming into place
+  if (std::rename(partial_path.c_str(), options.out_path.c_str()) != 0) {
+    result.status = TransferStatus::kSocketError;
+    result.error = "cannot move " + partial_path + " to " + options.out_path;
   }
   return result;
 }

@@ -7,12 +7,14 @@
 // then the server pushes the file with a FOBS transfer: data to the
 // client's UDP port, the completion signal accepted on the per-session
 // control port, which is allocated from a range so many transfers can
-// run at once. A client that wants a striped transfer appends the
-// optional third token; the server then treats the replied control
-// port as a FOBSSTRP negotiation port (fobs/stripe/striped_transfer.h)
-// instead of a plain control port — pre-striping servers parse the
-// port with atoi and ignore the extra token, so a striped-capable
-// client degrades to one flow against them automatically. Catalog
+// run at once. Every transfer, on both ends, is a K-stripe plan run by
+// the stripe orchestrator (fobs/stripe/striped_transfer.h). Without the
+// optional third token the reply has settled a 1-stripe plan, and no
+// negotiation follows: the exchange is byte for byte the plain one. A
+// client that wants K > 1 appends the token; the server then treats
+// the replied control port as a FOBSSTRP negotiation port —
+// pre-striping servers parse the port with atoi and ignore the extra
+// token, so a striped-capable client degrades to one flow. Catalog
 // sockets carry a receive timeout: a client that connects and sends
 // nothing stalls only its own pool worker for
 // `catalog_recv_timeout_ms`, never the accept loop.
@@ -104,8 +106,6 @@ struct FetchOptions {
   std::string name;                ///< file name in the server's directory
   std::string out_path;            ///< local destination path
   std::uint16_t data_port = 0;     ///< local UDP port for the data (required)
-  /// Catalog connect retry budget (the server may still be starting).
-  int connect_attempts = 100;
   /// Resume from `<out>.part` + `<out>.ckpt` when they match.
   bool resume = true;
   bool quiet = false;
@@ -115,7 +115,8 @@ struct FetchOptions {
   /// against pre-striping servers.
   int stripes = 1;
   stripe::StripeLayout layout = stripe::StripeLayout::kContiguous;
-  /// Applied to the receive session(s).
+  /// Applied to the receive session(s). endpoint.timeout_ms also
+  /// bounds the catalog exchange, connect retries included.
   EndpointOptions endpoint;
 };
 

@@ -82,6 +82,7 @@ void finalize_aggregate(StripedResult& result, std::int64_t object_bytes) {
     result.error = worst_error;
     result.goodput_mbps = 0.0;
   }
+  if (result.stripes < 2) return;  // a plain transfer, not a striped one
   auto& metrics = telemetry::MetricsRegistry::global();
   if (result.completed()) {
     metrics.counter("fobs.stripe.completed").inc();
@@ -100,6 +101,27 @@ EndpointOptions stripe_endpoint(const EndpointOptions& base,
     endpoint.fault_plan = overrides[static_cast<std::size_t>(index)];
   }
   return endpoint;
+}
+
+/// The plan `launch` settled on for an object of `object_bytes`; null
+/// (with `error` set) when the launch is malformed or the geometry
+/// cannot be split that way.
+std::shared_ptr<const stripe::StripePlan> settle_plan(std::size_t object_bytes,
+                                                      std::int64_t packet_bytes,
+                                                      const StripeLaunch& launch,
+                                                      std::string& error) {
+  if (launch.data_ports.size() != launch.control_ports.size()) {
+    error = "invalid launch: needs one (data port, control port) pair per stripe";
+    return nullptr;
+  }
+  stripe::StripePlan plan;
+  if (!stripe::StripePlan::make({static_cast<std::int64_t>(object_bytes), packet_bytes},
+                                static_cast<int>(launch.data_ports.size()), launch.layout,
+                                &plan, &error)) {
+    error = "invalid launch: " + error;
+    return nullptr;
+  }
+  return std::make_shared<const stripe::StripePlan>(std::move(plan));
 }
 
 /// Shared by the async sender path: collects per-stripe results as
@@ -224,27 +246,46 @@ void remove_striped_checkpoints(const std::string& base) {
 }
 
 // ---------------------------------------------------------------------------
-// Sender orchestration
+// Negotiation: settles a StripeLaunch (runs only when K > 1 was asked for)
 // ---------------------------------------------------------------------------
 
-std::optional<int> TransferEngine::submit_striped_send(const StripedSenderOptions& options,
-                                                       std::span<const std::uint8_t> object,
-                                                       StripedSessionParams params,
-                                                       std::string* error) {
-  auto fail = [&](const std::string& why) -> std::optional<int> {
-    if (error != nullptr) *error = why;
-    if (options.negotiation_port_owned) release_control_port(options.negotiation_port);
-    telemetry::MetricsRegistry::global().counter("fobs.stripe.negotiation_failures").inc();
+namespace {
+
+/// Reads one FOBSSTRP frame: the fixed part first (its stripe count, at
+/// byte 11, sizes the rest), then the port list and CRC trailer. Empty
+/// on a short read or an oversized count; decoding checks the rest.
+std::vector<std::uint8_t> read_stripe_frame(int fd, std::size_t fixed_size,
+                                            std::size_t (*frame_size)(int),
+                                            Clock::time_point deadline) {
+  std::vector<std::uint8_t> frame(fixed_size);
+  if (!net::read_exact(fd, frame.data(), fixed_size, deadline)) return {};
+  const int count = util::get_u16(frame.data() + 11);
+  if (count > stripe::kMaxStripes) return {};
+  frame.resize(frame_size(count));
+  if (!net::read_exact(fd, frame.data() + fixed_size, frame.size() - fixed_size, deadline)) {
+    return {};
+  }
+  return frame;
+}
+
+/// Sender side of FOBSSTRP: accepts one negotiation, clamps the stripe
+/// count and answers. Settles on the granted plan, or on the 1-stripe
+/// plan on the negotiation port when no control port is free. nullopt
+/// (with `error`) leaves the negotiation port with the caller.
+std::optional<StripeLaunch> negotiate_send(TransferEngine& engine,
+                                           const StripedSenderOptions& options,
+                                           std::size_t object_bytes, std::string& error) {
+  auto fail = [&](const std::string& why) -> std::optional<StripeLaunch> {
+    error = why;
     return std::nullopt;
   };
   auto& metrics = telemetry::MetricsRegistry::global();
   metrics.counter("fobs.stripe.transfers").inc();
+  const fobs::core::TransferSpec spec{static_cast<std::int64_t>(object_bytes),
+                                      options.endpoint.packet_bytes};
   if (options.negotiation_port == 0) return fail("negotiation_port must be non-zero");
   if (options.max_stripes < 1) return fail("max_stripes must be >= 1");
-  if (object.empty()) return fail("cannot send an empty object");
-  if (options.endpoint.packet_bytes <= 0) return fail("packet_bytes must be positive");
-  const fobs::core::TransferSpec spec{static_cast<std::int64_t>(object.size()),
-                                      options.endpoint.packet_bytes};
+  if (stripe::StripePlan::max_stripes(spec) < 1) return fail("empty object or bad packet size");
 
   // Accept exactly one negotiation connection, with the endpoint's
   // whole timeout as budget (the receiver connects right after its
@@ -252,30 +293,19 @@ std::optional<int> TransferEngine::submit_striped_send(const StripedSenderOption
   Fd listener = net::listen_tcp(options.negotiation_port, 1);
   if (!listener.valid()) return fail("negotiation listen failed");
   const auto deadline = Clock::now() + std::chrono::milliseconds(options.endpoint.timeout_ms);
-  std::string peer_host;
-  Fd conn = net::accept_until(listener.get(), deadline, &peer_host);
+  StripeLaunch launch;
+  Fd conn = net::accept_until(listener.get(), deadline, &launch.peer_host);
   if (!conn.valid()) return fail("no negotiation connection before the deadline");
 
-  // Read the FOBSSTRP request: fixed part first (it carries the stripe
-  // count), then the port list + CRC trailer.
-  std::vector<std::uint8_t> frame(stripe::kStripeRequestFixedSize);
-  if (!net::read_exact(conn.get(), frame.data(), frame.size(), deadline)) {
-    return fail("negotiation request truncated");
-  }
-  const int requested = util::get_u16(frame.data() + 11);
-  if (requested < 1 || requested > stripe::kMaxStripes) {
-    return fail("negotiation request malformed");
-  }
-  frame.resize(stripe::stripe_request_size(requested));
-  if (!net::read_exact(conn.get(), frame.data() + stripe::kStripeRequestFixedSize,
-                       frame.size() - stripe::kStripeRequestFixedSize, deadline)) {
-    return fail("negotiation request truncated");
-  }
+  const auto frame = read_stripe_frame(conn.get(), stripe::kStripeRequestFixedSize,
+                                       stripe::stripe_request_size, deadline);
   const auto request = stripe::decode_stripe_request(frame.data(), frame.size());
-  if (!request) return fail("negotiation request rejected (bad token/version/CRC)");
+  if (!request) return fail("negotiation request truncated or malformed");
+  launch.layout = request->layout;
 
-  auto respond = [&](const stripe::StripeResponse& response) {
-    const auto encoded = stripe::encode_stripe_response(response);
+  auto respond = [&](std::vector<std::uint16_t> control_ports) {
+    const auto encoded =
+        stripe::encode_stripe_response(stripe::StripeResponse{request->layout, control_ports});
     return net::send_all(conn.get(), encoded.data(), encoded.size(), deadline);
   };
 
@@ -283,104 +313,290 @@ std::optional<int> TransferEngine::submit_striped_send(const StripedSenderOption
       request->packet_bytes != spec.packet_bytes) {
     // The peer expects a different object: refuse loudly. No fallback —
     // a single flow would disagree about geometry just the same.
-    respond(stripe::StripeResponse{request->layout, {}});
+    respond({});
     metrics.counter("fobs.stripe.negotiation_rejected").inc();
     return fail("peer geometry mismatch (object or packet size)");
   }
 
-  // Clamp the stripe count: peer's ask, our cap, the object's packet
-  // count, and — when the engine's allocator is enabled — the largest
-  // contiguous control-port block we can lease.
-  int accepted = std::min({requested, options.max_stripes, stripe::StripePlan::max_stripes(spec)});
-  std::vector<std::uint16_t> control_ports;
-  bool ports_owned = false;  // leased from the engine allocator
-  if (control_port_capacity() > 0) {
+  // Clamp the stripe count: peer's ask, our cap, and the object's packet
+  // count. The plan is then valid by construction.
+  int accepted = std::min({static_cast<int>(request->data_ports.size()), options.max_stripes,
+                           stripe::StripePlan::max_stripes(spec)});
+  if (engine.control_port_capacity() > 0) {
     // Allocator configured: lease the largest contiguous block that
     // fits, shrinking the stripe count to what is actually free.
     for (; accepted >= 1; --accepted) {
-      if (const auto first = allocate_control_port_block(static_cast<std::size_t>(accepted))) {
-        control_ports.resize(static_cast<std::size_t>(accepted));
+      if (const auto first =
+              engine.allocate_control_port_block(static_cast<std::size_t>(accepted))) {
         for (int i = 0; i < accepted; ++i) {
-          control_ports[static_cast<std::size_t>(i)] = static_cast<std::uint16_t>(*first + i);
+          launch.control_ports.push_back(static_cast<std::uint16_t>(*first + i));
         }
-        ports_owned = true;
+        launch.control_ports_owned = true;
         break;
       }
     }
   } else {
     // No allocator configured: derive per-stripe control ports from the
     // negotiation port (documented for CLI/standalone use).
-    const int room = 0xFFFF - options.negotiation_port;
-    accepted = std::min(accepted, room);
-    if (accepted >= 1) {
-      control_ports.resize(static_cast<std::size_t>(accepted));
-      for (int i = 0; i < accepted; ++i) {
-        control_ports[static_cast<std::size_t>(i)] =
-            static_cast<std::uint16_t>(options.negotiation_port + 1 + i);
-      }
+    accepted = std::min(accepted, 0xFFFF - options.negotiation_port);
+    for (int i = 0; i < accepted; ++i) {
+      launch.control_ports.push_back(
+          static_cast<std::uint16_t>(options.negotiation_port + 1 + i));
     }
   }
 
-  std::shared_ptr<const stripe::StripePlan> plan;  // null: the single-flow fallback
-  if (control_ports.empty()) {
-    // Out of ports: refuse striping but keep the transfer alive — serve
-    // one plain flow on the negotiation port itself (the receiver falls
-    // back to exactly that pairing).
-    if (!respond(stripe::StripeResponse{request->layout, {}})) {
-      return fail("negotiation response failed");
-    }
+  if (launch.control_ports.empty()) {
+    // Out of ports: refuse striping but keep the transfer alive — the
+    // 1-stripe plan on the negotiation port itself, which is exactly
+    // where the refused receiver falls back to. Close the listener
+    // first: a control connect queued in its backlog would die unseen.
+    listener.reset();
+    if (!respond({})) return fail("negotiation response failed");
     metrics.counter("fobs.stripe.negotiation_rejected").inc();
     metrics.counter("fobs.stripe.fallbacks").inc();
-    accepted = 1;
-    control_ports = {options.negotiation_port};
-    ports_owned = options.negotiation_port_owned;
-  } else {
-    stripe::StripePlan plan_value;
-    std::string plan_error;
-    if (!stripe::StripePlan::make(spec, accepted, request->layout, &plan_value, &plan_error)) {
-      if (ports_owned) release_control_port_block(control_ports.front(), control_ports.size());
-      respond(stripe::StripeResponse{request->layout, {}});
-      return fail("stripe plan rejected: " + plan_error);
+    launch.data_ports = {request->data_ports.front()};
+    launch.control_ports = {options.negotiation_port};
+    launch.control_ports_owned = options.negotiation_port_owned;
+    launch.fallback_single_flow = true;
+    return launch;
+  }
+  if (!respond(launch.control_ports)) {
+    if (launch.control_ports_owned) {
+      engine.release_control_port_block(launch.control_ports.front(),
+                                        launch.control_ports.size());
     }
-    if (!respond(stripe::StripeResponse{request->layout, control_ports})) {
-      if (ports_owned) release_control_port_block(control_ports.front(), control_ports.size());
-      return fail("negotiation response failed");
-    }
-    plan = std::make_shared<const stripe::StripePlan>(std::move(plan_value));
-    metrics.counter("fobs.stripe.sessions").inc(accepted);
+    return fail("negotiation response failed");
+  }
+  metrics.counter("fobs.stripe.sessions").inc(accepted);
+  // Striping negotiated: the negotiation port has done its job.
+  if (options.negotiation_port_owned) engine.release_control_port(options.negotiation_port);
+  launch.data_ports.assign(request->data_ports.begin(), request->data_ports.begin() + accepted);
+  return launch;
+}
+
+/// Receiver side of FOBSSTRP: asks for options.stripes. Settles on the
+/// granted plan, or on a refusal (or a pre-striping peer) on the
+/// 1-stripe plan on the negotiation port. nullopt sets `result`'s
+/// status and error.
+std::optional<StripeLaunch> negotiate_receive(const StripedReceiverOptions& options,
+                                              std::size_t buffer_bytes, StripedResult& result) {
+  auto fail = [&](TransferStatus status,
+                  const std::string& why) -> std::optional<StripeLaunch> {
+    result.status = status;
+    result.error = why;
+    return std::nullopt;
+  };
+  auto& metrics = telemetry::MetricsRegistry::global();
+  metrics.counter("fobs.stripe.transfers").inc();
+  const fobs::core::TransferSpec spec{static_cast<std::int64_t>(buffer_bytes),
+                                      options.endpoint.packet_bytes};
+  // max_stripes(spec) is 0 for an empty buffer or a bad packet size.
+  const int requested = std::min({options.stripes, stripe::kMaxStripes,
+                                  stripe::StripePlan::max_stripes(spec)});
+  const char* invalid = nullptr;
+  if (options.negotiation_port == 0 || options.data_port_base == 0) {
+    invalid = "negotiation_port and data_port_base must be non-zero";
+  } else if (requested < 1) {
+    invalid = "stripes must be >= 1, with a non-empty buffer and a positive packet size";
+  } else if (options.data_port_base + requested - 1 > 0xFFFF) {
+    invalid = "data port block exceeds the port space";
+  }
+  if (invalid != nullptr) return fail(TransferStatus::kBadOptions, invalid);
+
+  const auto deadline = Clock::now() + std::chrono::milliseconds(options.endpoint.timeout_ms);
+  Fd conn = net::connect_with_backoff(options.sender_host, options.negotiation_port, deadline);
+  if (!conn.valid()) return fail(TransferStatus::kPeerLost, "negotiation connect timeout");
+  stripe::StripeRequest request;
+  request.layout = options.layout;
+  request.object_bytes = spec.object_bytes;
+  request.packet_bytes = spec.packet_bytes;
+  for (int i = 0; i < requested; ++i) {
+    request.data_ports.push_back(static_cast<std::uint16_t>(options.data_port_base + i));
+  }
+  const auto encoded = stripe::encode_stripe_request(request);
+  std::vector<std::uint8_t> frame;
+  if (net::send_all(conn.get(), encoded.data(), encoded.size(), deadline)) {
+    frame = read_stripe_frame(conn.get(), stripe::kStripeResponseFixedSize,
+                              stripe::stripe_response_size, deadline);
   }
   conn.reset();
-  listener.reset();  // the fallback's run_sender re-binds this port for its control listener
-  // Striping negotiated: the negotiation port has done its job.
-  if (plan && options.negotiation_port_owned) release_control_port(options.negotiation_port);
+  const auto response = stripe::decode_stripe_response(frame.data(), frame.size());
+  const char* refusal = nullptr;
+  if (frame.empty()) {
+    // A legacy sender drops the connection on the unknown token: the
+    // read fails cleanly and we fall back to one plain flow.
+    refusal = "peer rejected stripe negotiation";
+  } else if (!response || response->accepted() > requested) {
+    refusal = "stripe negotiation response malformed";
+  } else if (response->accepted() == 0) {
+    // Explicit refusal: the sender now serves the 1-stripe plan on the
+    // negotiation port.
+    refusal = "peer refused stripe negotiation";
+  }
 
-  // One sender session per stripe (one plain session for the fallback).
+  if (refusal == nullptr) {
+    metrics.counter("fobs.stripe.sessions").inc(response->accepted());
+    StripeLaunch launch;
+    launch.layout = response->layout;
+    launch.data_ports.assign(request.data_ports.begin(),
+                             request.data_ports.begin() + response->accepted());
+    launch.control_ports = response->control_ports;
+    return launch;
+  }
+  metrics.counter("fobs.stripe.negotiation_rejected").inc();
+  if (!options.allow_single_flow_fallback) return fail(TransferStatus::kPeerLost, refusal);
+  metrics.counter("fobs.stripe.fallbacks").inc();
+  // The 1-stripe plan resumes from the object-level checkpoint; fold in
+  // any sidecars a hard-killed striped attempt with the requested plan
+  // left behind (a degraded one already merged them).
+  if (!options.checkpoint_base.empty()) {
+    stripe::StripePlan prior;
+    if (stripe::StripePlan::make(spec, requested, options.layout, &prior)) {
+      merge_striped_checkpoint(options.checkpoint_base, prior);
+    }
+  }
+  return StripeLaunch{.layout = options.layout,
+                      .data_ports = {options.data_port_base},
+                      .control_ports = {options.negotiation_port},
+                      .fallback_single_flow = true};
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Launch: K sessions, one aggregate, the checkpoint passes
+// ---------------------------------------------------------------------------
+
+bool TransferEngine::launch_striped_send(const StripedSenderOptions& options,
+                                         std::span<const std::uint8_t> object,
+                                         const StripeLaunch& launch,
+                                         StripedSessionParams params, std::string* error) {
+  std::string plan_error;
+  const auto plan =
+      settle_plan(object.size(), options.endpoint.packet_bytes, launch, plan_error);
+  if (!plan) {
+    if (launch.control_ports_owned) {
+      for (const auto port : launch.control_ports) release_control_port(port);
+    }
+    if (error != nullptr) *error = plan_error;
+    return false;
+  }
+  const int stripes = plan->stripe_count();
   auto agg = std::make_shared<SendAggregation>();
-  agg->remaining = accepted;
-  agg->object_bytes = spec.object_bytes;
+  agg->remaining = stripes;
+  agg->object_bytes = plan->spec().object_bytes;
   agg->result.is_sender = true;
-  agg->result.fallback_single_flow = plan == nullptr;
-  agg->result.stripes = accepted;
-  agg->result.layout = request->layout;
-  agg->result.stripe_senders.resize(static_cast<std::size_t>(accepted));
+  agg->result.fallback_single_flow = launch.fallback_single_flow;
+  agg->result.stripes = stripes;
+  agg->result.layout = plan->layout();
+  agg->result.stripe_senders.resize(static_cast<std::size_t>(stripes));
   agg->on_complete = std::move(params.on_complete);
-  for (int i = 0; i < accepted; ++i) {
+  for (int i = 0; i < stripes; ++i) {
     SenderOptions session;
-    session.receiver_host = peer_host;
-    session.data_port = request->data_ports[static_cast<std::size_t>(i)];
-    session.control_port = control_ports[static_cast<std::size_t>(i)];
+    session.receiver_host = launch.peer_host;
+    session.data_port = launch.data_ports[static_cast<std::size_t>(i)];
+    session.control_port = launch.control_ports[static_cast<std::size_t>(i)];
     session.core = options.core;
     session.endpoint = stripe_endpoint(options.endpoint, options.stripe_fault_plans, i);
     session.stripe = {plan, i};
     SessionParams session_params;
     session_params.keepalive = params.keepalive;  // shared across stripes
-    if (ports_owned) session_params.owned_control_port = session.control_port;
+    if (launch.control_ports_owned) session_params.owned_control_port = session.control_port;
     session_params.on_exit = [agg, i](const TransferHandle& handle) {
       agg->stripe_done(i, handle.sender_result());
     };
     submit_send(session, object, std::move(session_params));
   }
-  return plan ? accepted : 0;
+  return true;
+}
+
+StripedResult TransferEngine::launch_striped_receive(const StripedReceiverOptions& options,
+                                                     std::span<std::uint8_t> buffer,
+                                                     const StripeLaunch& launch) {
+  StripedResult result;
+  result.is_sender = false;
+  result.status = TransferStatus::kBadOptions;
+  const auto plan =
+      settle_plan(buffer.size(), options.endpoint.packet_bytes, launch, result.error);
+  if (!plan) return result;
+  const int stripes = plan->stripe_count();
+  result.stripes = stripes;
+  result.layout = plan->layout();
+  result.fallback_single_flow = launch.fallback_single_flow;
+  const std::string& base = options.checkpoint_base;
+  // K > 1: a previous attempt with another stripe count (or a merge
+  // after a degraded one) may have left an object-level checkpoint;
+  // split it into per-stripe sidecars so every session resumes its own
+  // slice. A 1-stripe plan checkpoints at `base` itself.
+  if (!base.empty() && stripes > 1) split_striped_checkpoint(base, *plan);
+
+  std::vector<TransferHandle> handles;
+  handles.reserve(static_cast<std::size_t>(stripes));
+  for (int i = 0; i < stripes; ++i) {
+    ReceiverOptions session;
+    session.sender_host = options.sender_host;
+    session.data_port = launch.data_ports[static_cast<std::size_t>(i)];
+    session.control_port = launch.control_ports[static_cast<std::size_t>(i)];
+    session.core = options.core;
+    session.checkpoint_every_acks = options.checkpoint_every_acks;
+    if (!base.empty()) {
+      session.checkpoint_path = stripes > 1 ? stripe_checkpoint_path(base, i) : base;
+    }
+    session.endpoint = stripe_endpoint(options.endpoint, options.stripe_fault_plans, i);
+    session.stripe = {plan, i};
+    handles.push_back(submit_receive(session, buffer));
+  }
+  result.stripe_receivers.resize(static_cast<std::size_t>(stripes));
+  for (int i = 0; i < stripes; ++i) {
+    handles[static_cast<std::size_t>(i)].wait();
+    result.stripe_receivers[static_cast<std::size_t>(i)] =
+        handles[static_cast<std::size_t>(i)].receiver_result();
+  }
+  finalize_aggregate(result, plan->spec().object_bytes);
+  if (stripes > 1 && result.packets_restored > 0) {
+    telemetry::MetricsRegistry::global().counter("fobs.stripe.resumes").inc();
+  }
+
+  // Checkpoint post-pass. A completed transfer removes every checkpoint
+  // file, whatever stripe count earlier attempts ran with. After a
+  // failure, completed stripes (which removed their sidecars) get them
+  // back as full bitmaps, and everything is merged into the
+  // object-level file, so a retry with any stripe count resumes (the
+  // sidecars stay for a retry with this plan).
+  if (!base.empty()) {
+    if (result.completed()) {
+      remove_striped_checkpoints(base);
+    } else {
+      for (int i = 0; i < stripes; ++i) {
+        if (!result.stripe_receivers[static_cast<std::size_t>(i)].completed()) continue;
+        const auto local_packets = static_cast<std::size_t>(plan->stripe_packets(i));
+        fobs::util::Bitmap full(local_packets);
+        full.set_all();
+        Checkpoint sidecar;
+        sidecar.object_bytes = plan->stripe_bytes(i);
+        sidecar.packet_bytes = plan->spec().packet_bytes;
+        sidecar.received_count = static_cast<std::int64_t>(local_packets);
+        sidecar.bitmap = full.extract_range(0, local_packets);
+        save_checkpoint(stripe_checkpoint_path(base, i), sidecar);
+      }
+      result.resumable = merge_striped_checkpoint(base, *plan).has_value();
+    }
+  }
+  return result;
+}
+
+bool TransferEngine::submit_striped_send(const StripedSenderOptions& options,
+                                         std::span<const std::uint8_t> object,
+                                         StripedSessionParams params, std::string* error) {
+  std::string why;
+  const auto launch = negotiate_send(*this, options, object.size(), why);
+  if (!launch) {
+    if (options.negotiation_port_owned) release_control_port(options.negotiation_port);
+    telemetry::MetricsRegistry::global().counter("fobs.stripe.negotiation_failures").inc();
+    if (error != nullptr) *error = why;
+    return false;
+  }
+  return launch_striped_send(options, object, *launch, std::move(params), error);
 }
 
 StripedResult TransferEngine::run_striped_sender(const StripedSenderOptions& options,
@@ -411,189 +627,13 @@ StripedResult TransferEngine::run_striped_sender(const StripedSenderOptions& opt
   return result;
 }
 
-// ---------------------------------------------------------------------------
-// Receiver orchestration
-// ---------------------------------------------------------------------------
-
 StripedResult TransferEngine::run_striped_receiver(const StripedReceiverOptions& options,
                                                    std::span<std::uint8_t> buffer) {
   StripedResult result;
   result.is_sender = false;
-  result.status = TransferStatus::kBadOptions;
-  auto& metrics = telemetry::MetricsRegistry::global();
-  metrics.counter("fobs.stripe.transfers").inc();
-  if (options.negotiation_port == 0 || options.data_port_base == 0) {
-    result.error = "negotiation_port and data_port_base must be non-zero";
-    return result;
-  }
-  if (options.endpoint.packet_bytes <= 0) {
-    result.error = "packet_bytes must be positive";
-    return result;
-  }
-  if (buffer.empty()) {
-    result.error = "cannot receive into an empty buffer";
-    return result;
-  }
-  const fobs::core::TransferSpec spec{static_cast<std::int64_t>(buffer.size()),
-                                      options.endpoint.packet_bytes};
-  int requested = std::min({options.stripes, stripe::kMaxStripes,
-                            stripe::StripePlan::max_stripes(spec)});
-  if (requested < 1) {
-    result.error = "stripes must be >= 1";
-    return result;
-  }
-  if (options.data_port_base + requested - 1 > 0xFFFF) {
-    result.error = "data port block exceeds the port space";
-    return result;
-  }
-
-  // --- FOBSSTRP negotiation ----------------------------------------------
-  const auto deadline = Clock::now() + std::chrono::milliseconds(options.endpoint.timeout_ms);
-  Fd conn = net::connect_with_backoff(options.sender_host, options.negotiation_port, deadline);
-  if (!conn.valid()) {
-    result.status = TransferStatus::kPeerLost;
-    result.error = "negotiation connect timeout";
-    return result;
-  }
-  stripe::StripeRequest request;
-  request.layout = options.layout;
-  request.object_bytes = spec.object_bytes;
-  request.packet_bytes = spec.packet_bytes;
-  request.data_ports.resize(static_cast<std::size_t>(requested));
-  for (int i = 0; i < requested; ++i) {
-    request.data_ports[static_cast<std::size_t>(i)] =
-        static_cast<std::uint16_t>(options.data_port_base + i);
-  }
-  const auto encoded = stripe::encode_stripe_request(request);
-  std::optional<stripe::StripeResponse> response;
-  const char* refusal = nullptr;
-  std::vector<std::uint8_t> frame(stripe::kStripeResponseFixedSize);
-  if (!net::send_all(conn.get(), encoded.data(), encoded.size(), deadline) ||
-      !net::read_exact(conn.get(), frame.data(), frame.size(), deadline)) {
-    // A legacy sender drops the connection on the unknown token: the
-    // read fails cleanly and we fall back to one plain flow.
-    refusal = "peer rejected stripe negotiation";
-  } else {
-    const int accepted_count = util::get_u16(frame.data() + 11);
-    if (accepted_count <= stripe::kMaxStripes) {
-      frame.resize(stripe::stripe_response_size(accepted_count));
-      if (net::read_exact(conn.get(), frame.data() + stripe::kStripeResponseFixedSize,
-                          frame.size() - stripe::kStripeResponseFixedSize, deadline)) {
-        response = stripe::decode_stripe_response(frame.data(), frame.size());
-      }
-    }
-    if (!response || response->accepted() > requested) {
-      refusal = "stripe negotiation response malformed";
-    } else if (response->accepted() == 0) {
-      // Explicit refusal: the sender is now serving one plain flow on
-      // the negotiation port.
-      refusal = "peer refused stripe negotiation";
-    }
-  }
-  conn.reset();
-
-  std::shared_ptr<const stripe::StripePlan> plan;  // null: the single-flow fallback
-  std::vector<std::uint16_t> control_ports;
-  if (refusal != nullptr) {
-    metrics.counter("fobs.stripe.negotiation_rejected").inc();
-    if (!options.allow_single_flow_fallback) {
-      result.status = TransferStatus::kPeerLost;
-      result.error = refusal;
-      return result;
-    }
-    metrics.counter("fobs.stripe.fallbacks").inc();
-    result.fallback_single_flow = true;
-    result.stripes = 1;
-    result.layout = options.layout;
-    control_ports = {options.negotiation_port};
-    // A single-flow resume needs the object-level checkpoint; fold any
-    // striped sidecars from a previous attempt into it first.
-    if (!options.checkpoint_base.empty()) {
-      stripe::StripePlan prior;
-      if (stripe::StripePlan::make(spec, requested, options.layout, &prior)) {
-        merge_striped_checkpoint(options.checkpoint_base, prior);
-      }
-    }
-  } else {
-    stripe::StripePlan plan_value;
-    std::string plan_error;
-    if (!stripe::StripePlan::make(spec, response->accepted(), response->layout, &plan_value,
-                                  &plan_error)) {
-      result.error = "stripe plan rejected: " + plan_error;
-      return result;
-    }
-    plan = std::make_shared<const stripe::StripePlan>(std::move(plan_value));
-    result.stripes = response->accepted();
-    result.layout = response->layout;
-    control_ports = response->control_ports;
-    metrics.counter("fobs.stripe.sessions").inc(result.stripes);
-    // A previous single-flow attempt (or a merge after a degraded
-    // striped one) may have left an object-level checkpoint: split it
-    // into per-stripe sidecars so every session resumes its own slice.
-    if (!options.checkpoint_base.empty()) {
-      split_striped_checkpoint(options.checkpoint_base, *plan);
-    }
-  }
-
-  // --- one receive session per stripe (one plain one for the fallback) ---
-  const int stripes = result.stripes;
-  std::vector<TransferHandle> handles;
-  handles.reserve(static_cast<std::size_t>(stripes));
-  for (int i = 0; i < stripes; ++i) {
-    ReceiverOptions session;
-    session.sender_host = options.sender_host;
-    session.data_port = static_cast<std::uint16_t>(options.data_port_base + i);
-    session.control_port = control_ports[static_cast<std::size_t>(i)];
-    session.core = options.core;
-    session.checkpoint_every_acks = options.checkpoint_every_acks;
-    if (!options.checkpoint_base.empty()) {
-      session.checkpoint_path =
-          plan ? stripe_checkpoint_path(options.checkpoint_base, i) : options.checkpoint_base;
-    }
-    session.endpoint = stripe_endpoint(options.endpoint, options.stripe_fault_plans, i);
-    session.stripe = {plan, i};
-    handles.push_back(submit_receive(session, buffer));
-  }
-  result.stripe_receivers.resize(static_cast<std::size_t>(stripes));
-  for (int i = 0; i < stripes; ++i) {
-    handles[static_cast<std::size_t>(i)].wait();
-    result.stripe_receivers[static_cast<std::size_t>(i)] =
-        handles[static_cast<std::size_t>(i)].receiver_result();
-  }
-  finalize_aggregate(result, spec.object_bytes);
-  if (!plan) {
-    result.resumable = !result.completed() && !options.checkpoint_base.empty();
-    return result;
-  }
-  if (result.packets_restored > 0) metrics.counter("fobs.stripe.resumes").inc();
-
-  // Checkpoint post-pass: completed stripes removed their sidecars, so
-  // after a partial failure rewrite them as full bitmaps — then merge
-  // everything into the object-level file so a *single-flow* retry can
-  // resume too (the per-stripe sidecars stay for a striped retry).
-  if (!options.checkpoint_base.empty()) {
-    if (result.completed()) {
-      remove_striped_checkpoints(options.checkpoint_base);
-    } else {
-      for (int i = 0; i < stripes; ++i) {
-        if (result.stripe_receivers[static_cast<std::size_t>(i)].status !=
-            TransferStatus::kCompleted) {
-          continue;
-        }
-        const auto local_packets = static_cast<std::size_t>(plan->stripe_packets(i));
-        fobs::util::Bitmap full(local_packets);
-        full.set_all();
-        Checkpoint sidecar;
-        sidecar.object_bytes = plan->stripe_bytes(i);
-        sidecar.packet_bytes = spec.packet_bytes;
-        sidecar.received_count = static_cast<std::int64_t>(local_packets);
-        sidecar.bitmap = full.extract_range(0, local_packets);
-        save_checkpoint(stripe_checkpoint_path(options.checkpoint_base, i), sidecar);
-      }
-      result.resumable = merge_striped_checkpoint(options.checkpoint_base, *plan).has_value();
-    }
-  }
-  return result;
+  const auto launch = negotiate_receive(options, buffer.size(), result);
+  if (!launch) return result;
+  return launch_striped_receive(options, buffer, *launch);
 }
 
 }  // namespace fobs::posix

@@ -9,31 +9,37 @@
 // every stripe's receiver writes straight into the whole-object mapping
 // at plan-computed offsets.
 //
-// Wire-level flow:
-//   1. The receiver connects to the sender's negotiation TCP port and
-//      sends a FOBSSTRP request (stripe count, layout, per-stripe UDP
-//      data ports). A pre-striping sender drops the connection on the
-//      unknown token — the receiver falls back to a plain single-flow
-//      transfer on (data_port_base, negotiation_port).
-//   2. The sender clamps the stripe count (its max_stripes, the
-//      object's packet count, available control ports), answers with a
-//      FOBSSTRP response (accepted count + per-stripe TCP control
-//      ports), and launches one sender session per stripe. An accepted
-//      count of zero refuses striping; the sender then serves a plain
-//      single-flow transfer on the negotiation port itself, so both
-//      sides degrade together.
-//   3. Each stripe runs the unchanged FOBS protocol in stripe-local
-//      sequence space: greedy UDP + selective-ACK bitmap + TCP
-//      completion token, with resume frames and checkpoints per stripe.
+// A plain single-flow transfer is the 1-stripe plan; every transfer
+// the file server and fetch_file run goes through two steps here:
+//   * Negotiation (only when a peer asked for K > 1). The receiver
+//     connects to the sender's negotiation TCP port and sends a
+//     FOBSSTRP request (stripe count, layout, per-stripe UDP data
+//     ports). The sender clamps the count (its max_stripes, the
+//     object's packet count, free control ports) and answers with the
+//     accepted count and one TCP control port per stripe. A refusal
+//     (accepted count zero) or a pre-striping sender, which drops the
+//     connection on the unknown token, settles on the 1-stripe plan on
+//     (data_port_base, negotiation_port) instead, so both sides
+//     degrade together.
+//   * Launch. A settled plan plus one (data port, control port) pair
+//     per stripe (StripeLaunch) starts one ordinary FOBS session per
+//     stripe in stripe-local sequence space — greedy UDP, selective-ACK
+//     bitmap, TCP completion token — aggregates them into one
+//     StripedResult and runs the checkpoint post-pass. A 1-stripe plan
+//     whose ports a plain catalog exchange already fixed goes straight
+//     here: its wire bytes are exactly those of a plain transfer.
 //
-// Checkpointing: each stripe persists its local bitmap to
-// `<base>.s<i>`. merge_striped_checkpoint folds those into one
-// object-level checkpoint at `<base>` (single-flow compatible);
-// split_striped_checkpoint does the inverse so a striped attempt can
-// resume from a single-flow checkpoint. The orchestrator performs the
-// split on start and — after a partial failure — rewrites completed
-// stripes' sidecars and the merged object-level file, so a degraded
-// transfer is resumable by either a striped *or* a plain retry.
+// Checkpointing: a 1-stripe plan's local sequence space is the global
+// one, so it checkpoints at `<base>` itself, like any plain transfer.
+// With K > 1 each stripe persists its local bitmap to `<base>.s<i>`.
+// merge_striped_checkpoint folds those into one object-level
+// checkpoint at `<base>`; split_striped_checkpoint does the inverse so
+// a striped attempt can resume from an object-level checkpoint. The
+// launch step splits on start and — after a partial failure — rewrites
+// completed stripes' sidecars and the merged object-level file, so a
+// degraded transfer is resumable by a retry with any stripe count. A
+// completed transfer removes `<base>` and every sidecar, whatever
+// stripe count the earlier attempts ran with.
 #pragma once
 
 #include <cstdint>
@@ -51,15 +57,16 @@
 
 namespace fobs::posix {
 
+/// The launch step reads only core, endpoint and stripe_fault_plans.
 struct StripedSenderOptions {
   /// TCP port to accept the FOBSSTRP negotiation on (required). On a
-  /// refused negotiation the single-flow fallback sender listens here
+  /// refused negotiation the 1-stripe fallback sender listens here
   /// too, so legacy-shaped clients keep working.
   std::uint16_t negotiation_port = 0;
   /// The negotiation port was taken from the engine's allocator: the
   /// engine returns it as soon as it is no longer needed (right after
   /// negotiation for a striped run, after the session for the
-  /// single-flow fallback, immediately on a failed launch). Service
+  /// 1-stripe fallback, immediately on a failed launch). Service
   /// front-ends use this instead of releasing from a completion
   /// callback, which could race engine teardown.
   bool negotiation_port_owned = false;
@@ -77,6 +84,8 @@ struct StripedSenderOptions {
   std::vector<std::string> stripe_fault_plans;
 };
 
+/// The launch step reads only sender_host, core, the checkpoint fields,
+/// endpoint and stripe_fault_plans.
 struct StripedReceiverOptions {
   std::string sender_host = "127.0.0.1";
   /// The sender's negotiation port (required).
@@ -84,18 +93,20 @@ struct StripedReceiverOptions {
   /// First of `stripes` *contiguous* local UDP data ports (required);
   /// stripe i binds data_port_base + i.
   std::uint16_t data_port_base = 0;
-  /// Requested stripe count; the sender may accept fewer. 1 still
-  /// negotiates (a 1-stripe plan), so any K pairs with any peer.
+  /// Requested stripe count; the sender may accept fewer.
+  /// run_striped_receiver negotiates even for 1, so any K pairs with
+  /// any striped sender.
   int stripes = 1;
   stripe::StripeLayout layout = stripe::StripeLayout::kContiguous;
   fobs::core::ReceiverConfig core;
-  /// When non-empty, per-stripe checkpoints are kept at `<base>.s<i>`
-  /// (see merge/split below); pair it with a file-backed buffer exactly
-  /// as for single-flow checkpoints.
+  /// When non-empty, the transfer checkpoints here: a 1-stripe plan at
+  /// `<base>` itself, K > 1 per stripe at `<base>.s<i>` (see
+  /// merge/split below). Pair it with a file-backed buffer exactly as
+  /// for single-flow checkpoints.
   std::string checkpoint_base;
   int checkpoint_every_acks = 16;
-  /// Fall back to a plain single-flow transfer when the peer rejects
-  /// (or predates) FOBSSTRP. When false such peers yield kPeerLost.
+  /// Fall back to the 1-stripe plan when the peer rejects (or
+  /// predates) FOBSSTRP. When false such peers yield kPeerLost.
   bool allow_single_flow_fallback = true;
   EndpointOptions endpoint;
   std::vector<std::string> stripe_fault_plans;
@@ -109,8 +120,8 @@ struct StripedResult {
   TransferStatus status = TransferStatus::kPending;
   std::string error;  ///< human-readable detail; empty on success
   bool is_sender = false;
-  /// The FOBSSTRP exchange degraded this transfer to one plain flow
-  /// (legacy peer or refused negotiation).
+  /// Striping was asked for, and the FOBSSTRP exchange settled on the
+  /// 1-stripe plan instead (legacy peer or refused negotiation).
   bool fallback_single_flow = false;
   /// Stripes actually run (post-clamp; 1 in the fallback case).
   int stripes = 0;
@@ -135,7 +146,23 @@ struct StripedResult {
   [[nodiscard]] bool degraded() const { return !completed() && stripes_completed > 0; }
 };
 
-/// Extras for TransferEngine::submit_striped_send.
+/// A settled plan: stripe i pairs the receiver's UDP data_ports[i] with
+/// the sender's TCP control_ports[i], and both peers derive the same
+/// StripePlan from the stripe count, the layout and the object size.
+struct StripeLaunch {
+  std::string peer_host = "127.0.0.1";  ///< sender only: the receiver's host
+  stripe::StripeLayout layout = stripe::StripeLayout::kContiguous;
+  std::vector<std::uint16_t> data_ports;
+  std::vector<std::uint16_t> control_ports;
+  /// Sender only: the control ports are leases from the engine's
+  /// allocator. Each goes back when its stripe's session ends, or at
+  /// once when the launch fails.
+  bool control_ports_owned = false;
+  /// Copied into StripedResult::fallback_single_flow.
+  bool fallback_single_flow = false;
+};
+
+/// Extras for TransferEngine::submit_striped_send / launch_striped_send.
 struct StripedSessionParams {
   /// Kept alive until the last stripe session ends (typically the
   /// mmap'd TransferObject backing the object span).

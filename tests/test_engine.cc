@@ -11,19 +11,34 @@
 
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <optional>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "fobs/posix/engine.h"
 #include "fobs/sim_transfer.h"
-#include "telemetry/trace.h"
 
 namespace fobs {
 namespace {
 
 std::uint16_t port_base(int offset) { return static_cast<std::uint16_t>(37000 + offset); }
+
+/// Lines of the JSONL trace at `path` that record `event`; -1 when the
+/// file is missing.
+int count_trace_events(const std::string& path, const std::string& event) {
+  std::ifstream in(path);
+  if (!in) return -1;
+  const std::string needle = "\"event\":\"" + event + "\"";
+  int count = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find(needle) != std::string::npos) ++count;
+  }
+  return count;
+}
 
 // ---------------------------------------------------------------------------
 // Satellite: >= 3 simultaneous transfers, isolated per-session state
@@ -41,7 +56,10 @@ TEST(EngineConcurrency, ThreeSimultaneousTransfersAreByteIdenticalAndIsolated) {
     sinks.emplace_back(objects.back().size(), 0);
   }
 
-  posix::TransferEngine engine({.workers = 6, .session_tracers = true});
+  const std::string trace_dir = ::testing::TempDir() + "fobs_engine_traces";
+  std::filesystem::remove_all(trace_dir);
+  std::filesystem::create_directories(trace_dir);
+  posix::TransferEngine engine({.workers = 6, .trace_dir = trace_dir});
   std::vector<posix::TransferHandle> rx;
   std::vector<posix::TransferHandle> tx;
   for (std::size_t i = 0; i < sizes.size(); ++i) {
@@ -83,19 +101,22 @@ TEST(EngineConcurrency, ThreeSimultaneousTransfersAreByteIdenticalAndIsolated) {
         << "pair " << i;
   }
 
-  // Trace isolation: six distinct engine-owned tracers, each telling
+  // Trace isolation: six engine-written trace files (one per session
+  // id, written before the session turned terminal), each telling
   // exactly one session's story.
+  auto trace_path = [&](const posix::TransferHandle& handle) {
+    return trace_dir + "/session_" + std::to_string(handle.id()) + "_s0.jsonl";
+  };
   for (std::size_t i = 0; i < sizes.size(); ++i) {
-    ASSERT_NE(rx[i].tracer(), nullptr);
-    ASSERT_NE(tx[i].tracer(), nullptr);
-    EXPECT_NE(rx[i].tracer(), tx[i].tracer());
-    EXPECT_EQ(rx[i].tracer()->count(telemetry::EventType::kTransferStart), 1);
-    EXPECT_EQ(tx[i].tracer()->count(telemetry::EventType::kTransferStart), 1);
-    EXPECT_GE(rx[i].tracer()->count(telemetry::EventType::kCompletion), 1);
-    EXPECT_EQ(rx[i].tracer()->count(telemetry::EventType::kTimeout), 0);
+    EXPECT_EQ(count_trace_events(trace_path(rx[i]), "transfer_start"), 1) << "receiver " << i;
+    EXPECT_EQ(count_trace_events(trace_path(tx[i]), "transfer_start"), 1) << "sender " << i;
+    EXPECT_GE(count_trace_events(trace_path(rx[i]), "completion"), 1) << "receiver " << i;
+    EXPECT_EQ(count_trace_events(trace_path(rx[i]), "timeout"), 0) << "receiver " << i;
   }
-  EXPECT_NE(rx[0].tracer(), rx[1].tracer());
-  EXPECT_NE(rx[1].tracer(), rx[2].tracer());
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(trace_dir),
+                          std::filesystem::directory_iterator()),
+            2 * static_cast<std::ptrdiff_t>(sizes.size()));
+  std::filesystem::remove_all(trace_dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -183,7 +204,6 @@ TEST(EngineHandle, InvalidHandleAccessorsAreSafe) {
   EXPECT_EQ(handle.status(), posix::TransferStatus::kPending);
   EXPECT_FALSE(handle.done());
   EXPECT_FALSE(handle.wait_for(std::chrono::milliseconds(1)));
-  EXPECT_EQ(handle.tracer(), nullptr);
   handle.cancel();  // no-op
   EXPECT_FALSE(handle.sender_result().completed());
   EXPECT_FALSE(handle.receiver_result().completed());

@@ -2,7 +2,9 @@
 // test for the concurrent fobsd redesign (three overlapping fetches
 // from distinct clients, all byte-identical) plus the catalog-timeout
 // bugfix (a connected-but-silent client can no longer wedge the serve
-// loop) and the refusal paths.
+// loop), the refusal paths, resuming through fetch_file with one and
+// two stripes, pairing with a pre-striping server, and per-stripe
+// session traces.
 //
 // Port block: 37100-37199 (test_engine owns 37000-37099).
 #include <gtest/gtest.h>
@@ -13,14 +15,22 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/bitmap.h"
 #include "fobs/object.h"
+#include "fobs/posix/checkpoint.h"
 #include "fobs/posix/fileserver.h"
+#include "fobs/stripe/plan.h"
+#include "net/socket.h"
 
 namespace fobs {
 namespace {
@@ -244,6 +254,32 @@ TEST(FileServer, UnknownFileAndTraversalAreRefused) {
   server.stop();
 }
 
+TEST(FileServer, FetchAgainstARefusedPortFailsWithinItsTimeout) {
+  // A port nobody listens on: bind an ephemeral one, then close it.
+  const int probe = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(probe, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(probe, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(::getsockname(probe, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  ::close(probe);
+
+  posix::FetchOptions fetch;
+  fetch.catalog_port = ntohs(addr.sin_port);
+  fetch.name = "anything.bin";
+  fetch.out_path = ::testing::TempDir() + "fobs_fileserver_refused.bin";
+  fetch.data_port = 37188;
+  fetch.quiet = true;
+  fetch.endpoint.timeout_ms = 300;
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = posix::fetch_file(fetch);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(result.status, posix::TransferStatus::kPeerLost) << result.error;
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+}
+
 TEST(FileServer, StartRejectsInvalidOptions) {
   posix::FileServerOptions no_dir_options;
   no_dir_options.catalog_port = 37190;
@@ -254,6 +290,281 @@ TEST(FileServer, StartRejectsInvalidOptions) {
   no_port_options.dir = "/tmp";
   posix::FileServer no_port(no_port_options);
   EXPECT_FALSE(no_port.start());
+}
+
+// ---------------------------------------------------------------------------
+// Resuming through fetch_file
+// ---------------------------------------------------------------------------
+
+constexpr std::int64_t kResumeBytes = 256 * 1024 + 100;  // 257 packets of 1 KiB
+constexpr std::int64_t kResumePacket = 1024;
+constexpr std::int64_t kResumeMarked = 128;  // packets already on disk
+
+/// A checkpoint of an `object_bytes` object with its first `marked`
+/// packets received.
+posix::Checkpoint first_packets_checkpoint(std::int64_t object_bytes, std::int64_t marked) {
+  posix::Checkpoint checkpoint;
+  checkpoint.object_bytes = object_bytes;
+  checkpoint.packet_bytes = kResumePacket;
+  const auto packets = static_cast<std::size_t>(checkpoint.packet_count());
+  util::Bitmap bits(packets);
+  for (std::int64_t i = 0; i < marked; ++i) bits.set(static_cast<std::size_t>(i));
+  checkpoint.received_count = marked;
+  checkpoint.bitmap = bits.extract_range(0, packets);
+  return checkpoint;
+}
+
+/// Leaves what an interrupted fetch of `original` to `out` leaves: a
+/// full-size `<out>.part` holding only the first kResumeMarked packets,
+/// and (when `with_checkpoint`) an object-level `<out>.ckpt` marking
+/// exactly those.
+void stage_partial_fetch(const core::TransferObject& original, const std::string& out,
+                         bool with_part, bool with_checkpoint) {
+  if (with_part) {
+    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(original.size()), 0);
+    const auto view = original.view();
+    std::copy(view.begin(), view.begin() + kResumeMarked * kResumePacket, bytes.begin());
+    std::ofstream part(out + ".part", std::ios::binary | std::ios::trunc);
+    part.write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(part.good());
+  }
+  if (with_checkpoint) {
+    ASSERT_TRUE(posix::save_checkpoint(
+        out + ".ckpt", first_packets_checkpoint(original.size(), kResumeMarked)));
+  }
+}
+
+/// Names in `out`'s directory that start with `<out>.ckpt`.
+std::vector<std::string> checkpoint_files(const std::string& out) {
+  const std::filesystem::path path(out);
+  const std::string prefix = path.filename().string() + ".ckpt";
+  std::vector<std::string> found;
+  for (const auto& entry : std::filesystem::directory_iterator(path.parent_path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0) found.push_back(name);
+  }
+  return found;
+}
+
+TEST(FileServer, FetchResumesFromPartialFileWithOneOrTwoStripes) {
+  const std::string dir = ::testing::TempDir() + "fobs_fileserver_resume";
+  std::filesystem::remove_all(dir);
+  ::mkdir(dir.c_str(), 0755);
+  auto original = core::TransferObject::pattern(kResumeBytes, 0x5E5);
+  ASSERT_TRUE(original.write_to_file(dir + "/dataset.bin"));
+
+  posix::FileServerOptions options;
+  options.dir = dir;
+  options.catalog_port = 37110;  // control ports 37111..37118
+  options.control_port_count = 8;
+  options.quiet = true;
+  options.endpoint.timeout_ms = 30'000;
+  posix::FileServer server(options);
+  ASSERT_TRUE(server.start());
+
+  auto fetch_to = [&](const std::string& out, std::uint16_t data_port, int stripes) {
+    posix::FetchOptions fetch;
+    fetch.catalog_port = options.catalog_port;
+    fetch.name = "dataset.bin";
+    fetch.out_path = out;
+    fetch.data_port = data_port;
+    fetch.stripes = stripes;
+    fetch.quiet = true;
+    fetch.endpoint.timeout_ms = 30'000;
+    return posix::fetch_file(fetch);
+  };
+  auto fetched_matches = [&](const std::string& out) {
+    auto fetched = core::TransferObject::map_file(out);
+    return fetched.has_value() && fetched->size() == original.size() &&
+           std::equal(fetched->view().begin(), fetched->view().end(),
+                      original.view().begin());
+  };
+
+  {
+    SCOPED_TRACE("K=1 resumes exactly the marked packets");
+    const std::string out = dir + "/one.bin";
+    stage_partial_fetch(original, out, /*with_part=*/true, /*with_checkpoint=*/true);
+    const auto result = fetch_to(out, 37120, 1);
+    ASSERT_TRUE(result.completed()) << result.error;
+    EXPECT_EQ(result.stripes, 1);
+    EXPECT_EQ(result.packets_restored, kResumeMarked);
+    EXPECT_EQ(result.checksum, original.checksum());
+    EXPECT_TRUE(fetched_matches(out));
+    EXPECT_TRUE(checkpoint_files(out).empty());
+  }
+  {
+    SCOPED_TRACE("K=2 splits the object-level checkpoint over its stripes");
+    const std::string out = dir + "/two.bin";
+    stage_partial_fetch(original, out, true, true);
+    const auto result = fetch_to(out, 37122, 2);  // data ports 37122, 37123
+    ASSERT_TRUE(result.completed()) << result.error;
+    EXPECT_EQ(result.stripes, 2);
+    EXPECT_FALSE(result.fallback_single_flow);
+    // Contiguous layout: the marked packets all fall in stripe 0.
+    EXPECT_EQ(result.packets_restored, kResumeMarked);
+    EXPECT_TRUE(fetched_matches(out));
+    EXPECT_TRUE(checkpoint_files(out).empty());
+  }
+  {
+    SCOPED_TRACE("a checkpoint without its .part is discarded");
+    const std::string out = dir + "/orphan.bin";
+    stage_partial_fetch(original, out, /*with_part=*/false, /*with_checkpoint=*/true);
+    const auto result = fetch_to(out, 37125, 1);
+    ASSERT_TRUE(result.completed()) << result.error;
+    EXPECT_EQ(result.packets_restored, 0);
+    EXPECT_TRUE(fetched_matches(out));
+    EXPECT_TRUE(checkpoint_files(out).empty());
+  }
+  {
+    SCOPED_TRACE("a plain fetch after a degraded 2-stripe attempt removes its sidecars");
+    const std::string out = dir + "/leftover.bin";
+    stage_partial_fetch(original, out, true, true);
+    // What the degraded attempt's post-pass leaves besides the merged
+    // `.ckpt`: stripe 0's sidecar, in stripe-local geometry.
+    stripe::StripePlan plan;
+    ASSERT_TRUE(stripe::StripePlan::make({kResumeBytes, kResumePacket}, 2,
+                                         stripe::StripeLayout::kContiguous, &plan));
+    ASSERT_TRUE(posix::save_checkpoint(
+        out + ".ckpt.s0", first_packets_checkpoint(plan.stripe_bytes(0), kResumeMarked)));
+    const auto result = fetch_to(out, 37127, 1);
+    ASSERT_TRUE(result.completed()) << result.error;
+    EXPECT_EQ(result.packets_restored, kResumeMarked);
+    EXPECT_TRUE(fetched_matches(out));
+    EXPECT_TRUE(checkpoint_files(out).empty())
+        << "left behind: " << ::testing::PrintToString(checkpoint_files(out));
+  }
+  wait_transfers_settled(server);
+  EXPECT_EQ(server.transfers_completed(), 4u);
+  server.stop();
+  std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// One stripe is a plain exchange: no FOBSSTRP round trip
+// ---------------------------------------------------------------------------
+
+TEST(FileServer, DefaultFetchPairsWithAPreStripingServer) {
+  // A server that predates striping: it answers one catalog line and
+  // serves a plain sender session on the replied control port. A fetch
+  // that negotiated even a 1-stripe plan would have its FOBSSTRP token
+  // dropped there and report a fallback.
+  constexpr std::uint16_t kCatalogPort = 37193;
+  constexpr std::uint16_t kControlPort = 37194;
+  constexpr std::uint16_t kDataPort = 37195;
+  auto object = core::TransferObject::pattern(96 * 1024 + 5, 0x01D);
+  const std::string out = ::testing::TempDir() + "fobs_fileserver_prestriping.bin";
+
+  net::Fd listener = net::listen_tcp(kCatalogPort, 1);
+  ASSERT_TRUE(listener.valid());
+  std::string request;
+  posix::SenderResult served;
+  std::thread stub([&] {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    net::Fd conn = net::accept_until(listener.get(), deadline);
+    if (!conn.valid()) return;
+    char ch = 0;
+    while (net::read_exact(conn.get(), &ch, 1, deadline) && ch != '\n') request.push_back(ch);
+    const std::string reply =
+        std::to_string(object.size()) + " " + std::to_string(kControlPort) + "\n";
+    net::send_all(conn.get(), reply.data(), reply.size(), deadline);
+    conn.reset();
+    posix::SenderOptions plain;
+    plain.data_port = kDataPort;
+    plain.control_port = kControlPort;
+    plain.endpoint.timeout_ms = 10'000;
+    posix::TransferEngine engine(posix::EngineOptions{.workers = 1});
+    auto handle = engine.submit_send(plain, object.view());
+    handle.wait();
+    served = handle.sender_result();
+  });
+
+  posix::FetchOptions fetch;
+  fetch.catalog_port = kCatalogPort;
+  fetch.name = "dataset.bin";
+  fetch.out_path = out;
+  fetch.data_port = kDataPort;
+  fetch.quiet = true;
+  fetch.endpoint.timeout_ms = 10'000;
+  const auto result = posix::fetch_file(fetch);
+  stub.join();
+
+  EXPECT_EQ(request, "dataset.bin " + std::to_string(kDataPort));
+  ASSERT_TRUE(result.completed()) << result.error;
+  EXPECT_FALSE(result.fallback_single_flow);
+  EXPECT_EQ(result.stripes, 1);
+  EXPECT_EQ(result.checksum, object.checksum());
+  EXPECT_TRUE(served.completed()) << served.error;
+  std::filesystem::remove(out);
+}
+
+// ---------------------------------------------------------------------------
+// Session traces: one JSONL file per stripe session
+// ---------------------------------------------------------------------------
+
+TEST(FileServer, StripedFetchWritesOneTracePerStripeSession) {
+  const std::string dir = ::testing::TempDir() + "fobs_fileserver_traces";
+  const std::string trace_dir = dir + "/traces";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(trace_dir);
+  const auto checksums = stage_files(dir, {200 * 1024 + 3});
+
+  posix::FileServerOptions options;
+  options.dir = dir;
+  options.catalog_port = 37130;  // control ports 37131..37134
+  options.control_port_count = 4;
+  options.trace_dir = trace_dir;
+  options.quiet = true;
+  options.endpoint.timeout_ms = 30'000;
+  posix::FileServer server(options);
+  ASSERT_TRUE(server.start());
+
+  posix::FetchOptions fetch;
+  fetch.catalog_port = options.catalog_port;
+  fetch.name = "dataset0.bin";
+  fetch.out_path = dir + "/fetched.bin";
+  fetch.data_port = 37136;  // and 37137
+  fetch.stripes = 2;
+  fetch.quiet = true;
+  fetch.endpoint.timeout_ms = 30'000;
+  const auto result = posix::fetch_file(fetch);
+  ASSERT_TRUE(result.completed()) << result.error;
+  ASSERT_EQ(result.stripes, 2);
+  EXPECT_EQ(result.checksum, checksums[0]);
+  wait_transfers_settled(server);
+  server.stop();
+
+  // Session ids are engine-wide, so only the stripe suffix is known.
+  // Names and lines must round-trip through their fixed formats.
+  std::vector<int> stripes_traced;
+  for (const auto& entry : std::filesystem::directory_iterator(trace_dir)) {
+    const std::string file = entry.path().filename().string();
+    unsigned long long id = 0;
+    int stripe = -1;
+    ASSERT_EQ(std::sscanf(file.c_str(), "session_%llu_s%d.jsonl", &id, &stripe), 2) << file;
+    ASSERT_EQ(file, "session_" + std::to_string(id) + "_s" + std::to_string(stripe) + ".jsonl");
+    stripes_traced.push_back(stripe);
+    std::ifstream in(entry.path());
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    ASSERT_FALSE(lines.empty()) << file;
+    EXPECT_NE(lines.front().find("\"event\":\"transfer_start\""), std::string::npos) << file;
+    for (const auto& line : lines) {
+      long long t_ns = 0;
+      long long seq = 0;
+      long long value = 0;
+      char event[64] = {0};
+      const char* format = R"({"t_ns":%lld,"event":"%63[a-z_]","seq":%lld,"value":%lld})";
+      ASSERT_EQ(std::sscanf(line.c_str(), format, &t_ns, event, &seq, &value), 4)
+          << file << ": " << line;
+      EXPECT_EQ(line, "{\"t_ns\":" + std::to_string(t_ns) + ",\"event\":\"" + event +
+                          "\",\"seq\":" + std::to_string(seq) +
+                          ",\"value\":" + std::to_string(value) + "}");
+    }
+  }
+  std::sort(stripes_traced.begin(), stripes_traced.end());
+  EXPECT_EQ(stripes_traced, (std::vector<int>{0, 1}));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
