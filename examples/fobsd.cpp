@@ -9,15 +9,20 @@
 // The server replies "<size> <control-port>\n" (size -1 = refused),
 // then pushes the file with a FOBS transfer: data to the client's UDP
 // port, the completion signal accepted on the per-session control
-// port. With --stripes N the fetch negotiates FOBSSTRP on that control
-// port and the object rides N parallel UDP flows (PSockets-style);
-// against a pre-striping server it degrades to one flow automatically.
+// port, which already listens when the reply names it. With --stripes N
+// the fetch negotiates FOBSSTRP on that control port and the object
+// rides N parallel UDP flows (PSockets-style); against a pre-striping
+// server it degrades to one flow automatically.
 //
 // The heavy lifting lives in the library (fobs/posix/fileserver.h, on
 // top of the session engine in fobs/posix/engine.h): requests are
-// accepted concurrently, every transfer runs as its own engine session
-// with its own control port from [port+1, port+1+32), and a silent
-// catalog client times out instead of wedging the server.
+// accepted concurrently, every transfer runs as its own engine session,
+// and a silent catalog client times out instead of wedging the server.
+// `serve` binds each session's control port (and each stripe's) in the
+// fixed range [port+1, port+33), so a firewall can open exactly that
+// range; at most 32 of them listen at once, and further requests are
+// refused until one frees. `demo` lets the kernel choose the catalog
+// and control ports.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -42,6 +47,8 @@ int run_server(const std::string& dir, std::uint16_t port, int max_stripes) {
   fobs::posix::FileServerOptions options;
   options.dir = dir;
   options.catalog_port = port;
+  options.control_port_base = static_cast<std::uint16_t>(port + 1);
+  options.control_port_count = 32;
   options.max_stripes = max_stripes;
   options.trace_dir = trace_dir();
   fobs::posix::FileServer server(options);
@@ -110,10 +117,10 @@ int run_demo(int stripes) {
 
   fobs::posix::FileServerOptions server_options;
   server_options.dir = dir;
-  server_options.catalog_port = 39100;
   server_options.trace_dir = trace_dir();
   fobs::posix::FileServer server(server_options);
   if (!server.start()) return 1;
+  const std::uint16_t catalog_port = server.options().catalog_port;
 
   std::vector<std::thread> clients;
   std::vector<int> rcs(sizes.size(), 1);
@@ -121,7 +128,7 @@ int run_demo(int stripes) {
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     clients.emplace_back([&, i] {
       fobs::posix::FetchOptions options;
-      options.catalog_port = 39100;
+      options.catalog_port = catalog_port;
       options.name = "dataset" + std::to_string(i) + ".bin";
       options.out_path = dir + "/fetched" + std::to_string(i) + ".bin";
       // Each client needs `stripes` contiguous UDP ports.

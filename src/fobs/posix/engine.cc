@@ -9,13 +9,13 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/log.h"
 #include "common/thread_pool.h"
-#include "fobs/posix/port_allocator.h"
 #include "net/socket.h"
 #include "telemetry/metrics.h"
 
@@ -34,7 +34,7 @@ struct Session {
   std::span<const std::uint8_t> object;
   std::span<std::uint8_t> buffer;
   std::shared_ptr<void> keepalive;
-  std::uint16_t owned_control_port = 0;
+  net::Fd listener;  ///< sender only; closed before the session turns terminal
   std::function<void(const TransferHandle&)> on_exit;
 
   /// Polled by the driver loop once per iteration.
@@ -111,14 +111,10 @@ bool TransferHandle::is_sender() const { return session_ && session_->is_sender;
 
 struct TransferEngine::Impl {
   explicit Impl(EngineOptions opts)
-      : options(opts),
-        ports(opts.control_port_base, opts.control_port_count),
-        pool(opts.workers == 0 ? 0 : std::max<std::size_t>(1, opts.workers)) {}
+      : options(std::move(opts)),
+        pool(options.workers == 0 ? 0 : std::max<std::size_t>(1, options.workers)) {}
 
   EngineOptions options;
-  /// Range clamping (wrap past 65535, base 0 = disabled) lives in the
-  /// allocator itself; internally synchronized, so no `mu` here.
-  PortAllocator ports;
 
   mutable std::mutex mu;
   std::condition_variable idle_cv;
@@ -160,7 +156,7 @@ TransferEngine::~TransferEngine() {
 TransferHandle TransferEngine::submit(std::shared_ptr<detail::Session> session,
                                       SessionParams params) {
   session->keepalive = std::move(params.keepalive);
-  session->owned_control_port = params.owned_control_port;
+  session->listener = std::move(params.listener);
   session->on_exit = std::move(params.on_exit);
   {
     std::lock_guard lock(impl_->mu);
@@ -181,6 +177,16 @@ TransferHandle TransferEngine::submit_send(const SenderOptions& options,
   session->is_sender = true;
   session->send_options = options;
   session->object = object;
+  // Listen before queueing: a receiver that connects while the session
+  // waits for a worker lands in the backlog instead of being refused.
+  // A failed bind leaves no listener, which the session reports as a
+  // socket error; port 0 is left for the driver to reject.
+  if (!params.listener.valid() && options.control_port != 0) {
+    params.listener = net::listen_tcp(options.control_port, 1);
+  }
+  if (params.listener.valid()) {
+    session->send_options.control_port = net::local_port(params.listener.get());
+  }
   return submit(std::move(session), std::move(params));
 }
 
@@ -208,12 +214,14 @@ void TransferEngine::run_session(const std::shared_ptr<detail::Session>& session
   SenderResult sender_result;
   ReceiverResult receiver_result;
   if (session->is_sender) {
-    sender_result =
-        detail::run_sender(session->send_options, session->object, &session->cancel);
+    sender_result = detail::run_sender(session->send_options, session->object,
+                                       session->listener.get(), &session->cancel);
   } else {
     receiver_result =
         detail::run_receiver(session->recv_options, session->buffer, &session->cancel);
   }
+  // The port is free again by the time a waiter sees the final status.
+  session->listener.reset();
   const TransferStatus final_status =
       session->is_sender ? sender_result.status : receiver_result.status;
   if (trace) {
@@ -247,7 +255,6 @@ void TransferEngine::run_session(const std::shared_ptr<detail::Session>& session
 
 void TransferEngine::finish_session(const std::shared_ptr<detail::Session>& session) {
   bool idle = false;
-  impl_->ports.release(session->owned_control_port);
   {
     std::lock_guard lock(impl_->mu);
     impl_->live.erase(session->id);
@@ -256,22 +263,9 @@ void TransferEngine::finish_session(const std::shared_ptr<detail::Session>& sess
   if (idle) impl_->idle_cv.notify_all();
 }
 
-std::optional<std::uint16_t> TransferEngine::allocate_control_port() {
-  return impl_->ports.allocate();
-}
-
-void TransferEngine::release_control_port(std::uint16_t port) { impl_->ports.release(port); }
-
-std::size_t TransferEngine::free_control_ports() const { return impl_->ports.free_count(); }
-
-std::size_t TransferEngine::control_port_capacity() const { return impl_->ports.capacity(); }
-
-std::optional<std::uint16_t> TransferEngine::allocate_control_port_block(std::size_t count) {
-  return impl_->ports.allocate_block(count);
-}
-
-void TransferEngine::release_control_port_block(std::uint16_t first, std::size_t count) {
-  impl_->ports.release_block(first, count);
+net::Fd TransferEngine::listen_control_port() const {
+  return net::listen_tcp_in_range(impl_->options.control_port_base,
+                                  impl_->options.control_port_count, 1);
 }
 
 bool TransferEngine::start_acceptor(std::uint16_t port,
@@ -332,6 +326,10 @@ void TransferEngine::stop_acceptor() {
 }
 
 bool TransferEngine::acceptor_running() const { return impl_->acceptor_thread.joinable(); }
+
+std::uint16_t TransferEngine::acceptor_port() const {
+  return acceptor_running() ? net::local_port(impl_->acceptor_fd.get()) : 0;
+}
 
 std::size_t TransferEngine::active_sessions() const {
   std::lock_guard lock(impl_->mu);

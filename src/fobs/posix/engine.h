@@ -1,8 +1,8 @@
 // Concurrent multi-session FOBS transfer engine.
 //
 // A TransferEngine owns a worker pool, a registry of live sessions,
-// an allocator of per-session control ports, and (optionally) a TCP
-// acceptor for service front-ends. Each submitted transfer becomes a
+// an optional control-port range, and (optionally) a TCP acceptor for
+// service front-ends. Each submitted transfer becomes a
 // *session*: it runs the blocking POSIX driver loop on a pool worker
 // with its own batched DatagramChannel for the data plane (tuned via
 // EndpointOptions::io — sendmmsg/recvmmsg batch sizes, socket buffers,
@@ -20,11 +20,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 
 #include "fobs/posix/posix_transfer.h"
+#include "net/socket.h"
 
 namespace fobs::posix {
 
@@ -89,8 +89,10 @@ struct EngineOptions {
   /// submissions queue until a worker frees up. 0 = hardware
   /// concurrency.
   std::size_t workers = 4;
-  /// Per-session control-port allocation range [base, base + count).
-  /// Zero count disables the allocator.
+  /// Ports for the control listeners the engine binds itself
+  /// (listen_control_port): the first free one of [base, base + count),
+  /// the range clamped at 65535. Base 0 lets the kernel choose; a
+  /// non-zero base with count 0 is an empty range that never binds.
   std::uint16_t control_port_base = 0;
   std::uint16_t control_port_count = 0;
   /// When non-empty, every session whose options carry no tracer
@@ -106,11 +108,13 @@ struct SessionParams {
   /// Kept alive until the session ends — typically the mmap'd
   /// TransferObject backing the spans handed to submit_*.
   std::shared_ptr<void> keepalive;
-  /// A control port previously taken from allocate_control_port();
-  /// returned to the allocator automatically when the session ends.
-  std::uint16_t owned_control_port = 0;
+  /// Sender only: an already listening control socket (typically from
+  /// listen_control_port()). The session accepts on it and closes it
+  /// before it turns terminal; its port replaces options.control_port.
+  /// Without one, submit_send binds options.control_port itself.
+  net::Fd listener = {};
   /// Runs on the session's worker right after the session turns
-  /// terminal (results are final, port already released). Keep it
+  /// terminal (results are final, listener already closed). Keep it
   /// short; it blocks that worker.
   std::function<void(const TransferHandle&)> on_exit;
 };
@@ -130,28 +134,20 @@ class TransferEngine {
   /// valid until the session is terminal — use SessionParams::keepalive
   /// for engine-managed lifetime. Invalid options are not rejected
   /// here; the session turns kBadOptions immediately on its worker.
+  /// submit_send listens before it returns (see SessionParams::listener),
+  /// so a receiver may connect while the session still waits for a
+  /// worker: the connection waits in the listen backlog.
   TransferHandle submit_send(const SenderOptions& options,
                              std::span<const std::uint8_t> object, SessionParams params = {});
   TransferHandle submit_receive(const ReceiverOptions& options,
                                 std::span<std::uint8_t> buffer, SessionParams params = {});
 
-  /// Takes a free port from [control_port_base, base + count); nullopt
-  /// when the range is exhausted or the allocator is disabled. Pass it
-  /// back via release_control_port — or hand it to a session as
-  /// SessionParams::owned_control_port for automatic release.
-  std::optional<std::uint16_t> allocate_control_port();
-  void release_control_port(std::uint16_t port);
-  [[nodiscard]] std::size_t free_control_ports() const;
-  /// Configured (post-clamp) allocator range size; 0 = disabled.
-  [[nodiscard]] std::size_t control_port_capacity() const;
-
-  /// Leases `count` *contiguous* ports (returns the first) for striped
-  /// transfers, which address per-stripe ports as base-plus-index.
-  /// nullopt when no contiguous run is free. Each port may be released
-  /// individually (e.g. as a session's owned_control_port) or all at
-  /// once via release_control_port_block.
-  std::optional<std::uint16_t> allocate_control_port_block(std::size_t count);
-  void release_control_port_block(std::uint16_t first, std::size_t count);
+  /// A control listener on the first free port of the configured range
+  /// (a kernel-chosen port when control_port_base is 0); invalid when
+  /// every port of the range is taken. Bind first, advertise
+  /// net::local_port() after, then hand it to a session as
+  /// SessionParams::listener.
+  [[nodiscard]] net::Fd listen_control_port() const;
 
   /// Striped transfers (see fobs/stripe/striped_transfer.h): negotiate
   /// FOBSSTRP with the peer, then launch one session per stripe on this
@@ -176,18 +172,21 @@ class TransferEngine {
   /// form blocks like run_striped_receiver and runs the checkpoint
   /// passes.
   bool launch_striped_send(const StripedSenderOptions& options,
-                           std::span<const std::uint8_t> object, const StripeLaunch& launch,
+                           std::span<const std::uint8_t> object, StripeLaunch launch,
                            StripedSessionParams params, std::string* error = nullptr);
   StripedResult launch_striped_receive(const StripedReceiverOptions& options,
                                        std::span<std::uint8_t> buffer,
                                        const StripeLaunch& launch);
 
-  /// Binds a TCP listener on `port` and dispatches every accepted
-  /// connection to the worker pool as `handler(fd, peer_host)`. The
-  /// handler owns `fd` and must close it. One acceptor per engine;
-  /// false when the bind/listen fails or one is already running.
+  /// Binds a TCP listener on `port` (0 = kernel-chosen, see
+  /// acceptor_port) and dispatches every accepted connection to the
+  /// worker pool as `handler(fd, peer_host)`. The handler owns `fd` and
+  /// must close it. One acceptor per engine; false when the bind/listen
+  /// fails or one is already running.
   bool start_acceptor(std::uint16_t port,
                       std::function<void(int fd, std::string peer_host)> handler);
+  /// The port the running acceptor listens on; 0 when none runs.
+  [[nodiscard]] std::uint16_t acceptor_port() const;
   /// Stops accepting and blocks until every already-dispatched handler
   /// task has returned, so callers can tear down state the handlers
   /// capture. Handlers queued behind busy workers still run first;

@@ -64,18 +64,14 @@ bool name_is_safe(const std::string& name) {
 // FileServer
 // ---------------------------------------------------------------------------
 
-FileServer::FileServer(FileServerOptions options) : options_(std::move(options)) {
-  if (options_.control_port_base == 0) {
-    options_.control_port_base = static_cast<std::uint16_t>(options_.catalog_port + 1);
-  }
-}
+FileServer::FileServer(FileServerOptions options) : options_(std::move(options)) {}
 
 FileServer::~FileServer() { stop(); }
 
 bool FileServer::start() {
   if (engine_) return false;  // already started
-  if (options_.dir.empty() || options_.catalog_port == 0 ||
-      options_.control_port_count == 0) {
+  if (options_.dir.empty() ||
+      (options_.control_port_base != 0 && options_.control_port_count == 0)) {
     return false;
   }
   EngineOptions engine_options;
@@ -90,10 +86,15 @@ bool FileServer::start() {
     engine_.reset();
     return false;
   }
+  options_.catalog_port = engine_->acceptor_port();
   if (!options_.quiet) {
-    std::printf("fobsd: serving %s on port %u (%zu workers, %u control ports)\n",
-                options_.dir.c_str(), options_.catalog_port, options_.workers,
-                options_.control_port_count);
+    const unsigned base = options_.control_port_base;
+    const std::string ports =
+        base == 0 ? std::string("kernel-chosen")
+                  : "[" + std::to_string(base) + ", " +
+                        std::to_string(base + options_.control_port_count) + ")";
+    std::printf("fobsd: serving %s on port %u (%zu workers, control ports %s)\n",
+                options_.dir.c_str(), options_.catalog_port, options_.workers, ports.c_str());
   }
   return true;
 }
@@ -152,20 +153,23 @@ void FileServer::handle_catalog(int fd, const std::string& peer_host) {
                     ? fobs::core::TransferObject::map_file(options_.dir + "/" + name)
                     : std::nullopt;
   if (!mapped || client_port <= 0 || client_port > 65535) return refuse();
-  const auto control_port = engine_->allocate_control_port();
-  if (!control_port) {
-    // Every control port is carrying a transfer: shed load instead of
-    // queueing a session that could not listen anywhere.
+  // Listen first, then advertise: the client's control connect (or
+  // FOBSSTRP negotiation) waits in this listener's backlog however long
+  // the session takes to reach a worker.
+  net::Fd listener = engine_->listen_control_port();
+  if (!listener.valid()) {
+    // Every port of the control range is carrying a transfer: shed load
+    // instead of queueing a session that could not listen anywhere.
     telemetry::MetricsRegistry::global().counter("fobs.fileserver.port_exhausted").inc();
     return refuse();
   }
+  const std::uint16_t control_port = net::local_port(listener.get());
   auto object = std::make_shared<fobs::core::TransferObject>(std::move(*mapped));
-  reply(std::to_string(object->size()) + " " + std::to_string(*control_port) + "\n");
+  reply(std::to_string(object->size()) + " " + std::to_string(control_port) + "\n");
   conn.reset();  // catalog exchange done; the transfer session takes over
 
   StripedSenderOptions send_options;
-  send_options.negotiation_port = *control_port;
-  send_options.negotiation_port_owned = true;
+  send_options.negotiation_port = control_port;
   send_options.max_stripes =
       std::min(options_.max_stripes, std::min(client_stripes, stripe::kMaxStripes));
   send_options.endpoint = options_.endpoint;
@@ -191,17 +195,19 @@ void FileServer::handle_catalog(int fd, const std::string& peer_host) {
   // the reply fixed both of its ports, so it launches without a
   // negotiation round trip — and a pre-striping client sees exactly the
   // plain exchange it expects.
-  const bool launched =
-      client_stripes > 1 && send_options.max_stripes > 1
-          ? engine_->submit_striped_send(send_options, object->view(), std::move(params),
-                                         &error)
-          : engine_->launch_striped_send(
-                send_options, object->view(),
-                StripeLaunch{.peer_host = peer_host,
-                             .data_ports = {static_cast<std::uint16_t>(client_port)},
-                             .control_ports = {*control_port},
-                             .control_ports_owned = true},
-                std::move(params), &error);
+  bool launched = false;
+  if (client_stripes > 1 && send_options.max_stripes > 1) {
+    params.listener = std::move(listener);
+    launched = engine_->submit_striped_send(send_options, object->view(), std::move(params),
+                                            &error);
+  } else {
+    StripeLaunch launch{.peer_host = peer_host,
+                        .data_ports = {static_cast<std::uint16_t>(client_port)},
+                        .control_ports = {control_port}};
+    launch.listeners.push_back(std::move(listener));
+    launched = engine_->launch_striped_send(send_options, object->view(), std::move(launch),
+                                            std::move(params), &error);
+  }
   if (!launched) {
     failed_.fetch_add(1, std::memory_order_relaxed);
     if (!options_.quiet) {

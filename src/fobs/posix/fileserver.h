@@ -6,8 +6,9 @@
 //   server -> "<size> <control-port>\n"     (size -1 = refused)
 // then the server pushes the file with a FOBS transfer: data to the
 // client's UDP port, the completion signal accepted on the per-session
-// control port, which is allocated from a range so many transfers can
-// run at once. Every transfer, on both ends, is a K-stripe plan run by
+// control port. The server listens on that port before it replies, so
+// the client's first connect is accepted. Every transfer, on both ends,
+// is a K-stripe plan run by
 // the stripe orchestrator (fobs/stripe/striped_transfer.h). Without the
 // optional third token the reply has settled a 1-stripe plan, and no
 // negotiation follows: the exchange is byte for byte the plain one. A
@@ -34,10 +35,13 @@
 namespace fobs::posix {
 
 struct FileServerOptions {
-  std::string dir;                   ///< directory served (required)
-  std::uint16_t catalog_port = 0;    ///< TCP catalog listener (required)
-  /// Per-session control ports come from [base, base + count);
-  /// 0 base = catalog_port + 1.
+  std::string dir;  ///< directory served (required)
+  /// TCP catalog listener; 0 binds a kernel-chosen port, which start()
+  /// writes back here (read it through options()).
+  std::uint16_t catalog_port = 0;
+  /// Each session's control listener binds the first free port of
+  /// [base, base + count), so at most `count` transfers run at once and
+  /// further requests are refused. Base 0 = kernel-chosen ports.
   std::uint16_t control_port_base = 0;
   std::uint16_t control_port_count = 32;
   /// Worker threads: bounds concurrently running transfers (plus
@@ -67,7 +71,8 @@ class FileServer {
   FileServer& operator=(const FileServer&) = delete;
 
   /// Binds the catalog listener and starts accepting. False when the
-  /// options are invalid or the port cannot be bound.
+  /// options are invalid (no dir, or a control range with a base but no
+  /// count) or the port cannot be bound.
   bool start();
   /// Stops accepting, cancels live sessions, waits for them to finish.
   void stop();

@@ -239,7 +239,7 @@ double mbps(std::int64_t bytes, double seconds) {
 // ---------------------------------------------------------------------------
 
 SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8_t> object,
-                        const std::atomic<bool>* cancel) {
+                        int listener, const std::atomic<bool>* cancel) {
   SenderResult result;
   result.status = TransferStatus::kBadOptions;
   auto& metrics = telemetry::MetricsRegistry::global();
@@ -286,9 +286,9 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
   }
   const sockaddr_in peer = net::make_addr(options.receiver_host, options.data_port);
 
-  // TCP listener for the control channel (completion + resume frames).
-  const Fd listener = net::listen_tcp(options.control_port, 1);
-  if (!listener.valid()) {
+  // The control channel (completion + resume frames) is accepted on a
+  // listener the engine bound before the session was queued.
+  if (listener < 0) {
     result.error = "tcp listen failed";
     return result;
   }
@@ -344,7 +344,7 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
     // resume frame (full bitmap) then pre-acks everything the previous
     // incarnation stored.
     if (!control.valid()) {
-      control = net::accept_until(listener.get(), Clock::time_point::min());
+      control = net::accept_until(listener, Clock::time_point::min());
       if (control.valid()) {
         if (control_ever_connected) {
           ++result.reconnects;
@@ -435,7 +435,7 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
       // not quantize to a nap period. Bounded at 10 ms so the
       // cancel/stall checks keep running.
       pollfd pfds[2] = {{channel.fd(), POLLIN, 0},
-                        {control.valid() ? control.get() : listener.get(), POLLIN, 0}};
+                        {control.valid() ? control.get() : listener, POLLIN, 0}};
       ::poll(pfds, 2, 10);
       continue;
     }

@@ -37,7 +37,9 @@ namespace fobs::posix {
 struct SenderOptions {
   std::string receiver_host = "127.0.0.1";
   std::uint16_t data_port = 0;     ///< receiver's UDP port (required)
-  std::uint16_t control_port = 0;  ///< sender's TCP listen port (required)
+  /// Sender's TCP listen port (required unless the session is handed a
+  /// bound listener, see SessionParams::listener).
+  std::uint16_t control_port = 0;
   fobs::core::SenderConfig core;
   /// Knobs shared with the receive side (packet size, stall budget,
   /// fault plan, tracer, datagram I/O tuning — SO_SNDBUF now lives at
@@ -140,8 +142,11 @@ namespace detail {
 /// once per loop iteration; setting it makes the loop exit with
 /// TransferStatus::kCancelled. The engine runs these on its workers;
 /// the public free functions reach them through a one-session engine.
+/// The sender accepts its control channel on `listener`, a listening
+/// socket on options.control_port that stays the caller's (-1 when the
+/// bind failed).
 SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8_t> object,
-                        const std::atomic<bool>* cancel);
+                        int listener, const std::atomic<bool>* cancel);
 ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8_t> buffer,
                             const std::atomic<bool>* cancel);
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cctype>
 #include <condition_variable>
+#include <filesystem>
 #include <mutex>
 
 #include "common/bitmap.h"
@@ -110,7 +112,8 @@ std::shared_ptr<const stripe::StripePlan> settle_plan(std::size_t object_bytes,
                                                       std::int64_t packet_bytes,
                                                       const StripeLaunch& launch,
                                                       std::string& error) {
-  if (launch.data_ports.size() != launch.control_ports.size()) {
+  if (launch.data_ports.size() != launch.control_ports.size() ||
+      (!launch.listeners.empty() && launch.listeners.size() != launch.data_ports.size())) {
     error = "invalid launch: needs one (data port, control port) pair per stripe";
     return nullptr;
   }
@@ -239,9 +242,18 @@ bool split_striped_checkpoint(const std::string& base, const stripe::StripePlan&
 }
 
 void remove_striped_checkpoints(const std::string& base) {
-  remove_checkpoint(base);
-  for (int s = 0; s < stripe::kMaxStripes; ++s) {
-    remove_checkpoint(stripe_checkpoint_path(base, s));
+  const std::filesystem::path path(base);
+  const std::string name = path.filename().string();
+  const std::string sidecar = name + ".s";
+  std::error_code ec;
+  const std::filesystem::path dir = path.has_parent_path() ? path.parent_path() : ".";
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string found = entry.path().filename().string();
+    const bool is_sidecar =
+        found.size() > sidecar.size() && found.compare(0, sidecar.size(), sidecar) == 0 &&
+        std::all_of(found.begin() + static_cast<std::ptrdiff_t>(sidecar.size()), found.end(),
+                    [](unsigned char c) { return std::isdigit(c) != 0; });
+    if (found == name || is_sidecar) std::filesystem::remove(entry.path(), ec);
   }
 }
 
@@ -268,12 +280,13 @@ std::vector<std::uint8_t> read_stripe_frame(int fd, std::size_t fixed_size,
   return frame;
 }
 
-/// Sender side of FOBSSTRP: accepts one negotiation, clamps the stripe
-/// count and answers. Settles on the granted plan, or on the 1-stripe
-/// plan on the negotiation port when no control port is free. nullopt
-/// (with `error`) leaves the negotiation port with the caller.
-std::optional<StripeLaunch> negotiate_send(TransferEngine& engine,
-                                           const StripedSenderOptions& options,
+/// Sender side of FOBSSTRP: accepts one negotiation on `listener` (or,
+/// when that is not valid, on options.negotiation_port), clamps the
+/// stripe count and answers. Settles on the granted plan, or on the
+/// 1-stripe plan on the negotiation listener when no control port is
+/// free. nullopt sets `error`; every listener is closed then.
+std::optional<StripeLaunch> negotiate_send(const TransferEngine& engine,
+                                           const StripedSenderOptions& options, Fd listener,
                                            std::size_t object_bytes, std::string& error) {
   auto fail = [&](const std::string& why) -> std::optional<StripeLaunch> {
     error = why;
@@ -283,14 +296,16 @@ std::optional<StripeLaunch> negotiate_send(TransferEngine& engine,
   metrics.counter("fobs.stripe.transfers").inc();
   const fobs::core::TransferSpec spec{static_cast<std::int64_t>(object_bytes),
                                       options.endpoint.packet_bytes};
-  if (options.negotiation_port == 0) return fail("negotiation_port must be non-zero");
+  if (!listener.valid() && options.negotiation_port == 0) {
+    return fail("negotiation_port must be non-zero");
+  }
   if (options.max_stripes < 1) return fail("max_stripes must be >= 1");
   if (stripe::StripePlan::max_stripes(spec) < 1) return fail("empty object or bad packet size");
 
   // Accept exactly one negotiation connection, with the endpoint's
   // whole timeout as budget (the receiver connects right after its
   // catalog exchange, so in practice this is milliseconds).
-  Fd listener = net::listen_tcp(options.negotiation_port, 1);
+  if (!listener.valid()) listener = net::listen_tcp(options.negotiation_port, 1);
   if (!listener.valid()) return fail("negotiation listen failed");
   const auto deadline = Clock::now() + std::chrono::milliseconds(options.endpoint.timeout_ms);
   StripeLaunch launch;
@@ -320,56 +335,35 @@ std::optional<StripeLaunch> negotiate_send(TransferEngine& engine,
 
   // Clamp the stripe count: peer's ask, our cap, and the object's packet
   // count. The plan is then valid by construction.
-  int accepted = std::min({static_cast<int>(request->data_ports.size()), options.max_stripes,
-                           stripe::StripePlan::max_stripes(spec)});
-  if (engine.control_port_capacity() > 0) {
-    // Allocator configured: lease the largest contiguous block that
-    // fits, shrinking the stripe count to what is actually free.
-    for (; accepted >= 1; --accepted) {
-      if (const auto first =
-              engine.allocate_control_port_block(static_cast<std::size_t>(accepted))) {
-        for (int i = 0; i < accepted; ++i) {
-          launch.control_ports.push_back(static_cast<std::uint16_t>(*first + i));
-        }
-        launch.control_ports_owned = true;
-        break;
-      }
-    }
-  } else {
-    // No allocator configured: derive per-stripe control ports from the
-    // negotiation port (documented for CLI/standalone use).
-    accepted = std::min(accepted, 0xFFFF - options.negotiation_port);
-    for (int i = 0; i < accepted; ++i) {
-      launch.control_ports.push_back(
-          static_cast<std::uint16_t>(options.negotiation_port + 1 + i));
-    }
+  const int wanted = std::min({static_cast<int>(request->data_ports.size()),
+                               options.max_stripes, stripe::StripePlan::max_stripes(spec)});
+  // Listen on every stripe's control port before answering, so each
+  // advertised port already accepts; the stripe count shrinks to the
+  // listeners the engine's range has room for.
+  for (int i = 0; i < wanted; ++i) {
+    Fd control = engine.listen_control_port();
+    if (!control.valid()) break;
+    launch.control_ports.push_back(net::local_port(control.get()));
+    launch.listeners.push_back(std::move(control));
   }
+  const int accepted = static_cast<int>(launch.listeners.size());
 
-  if (launch.control_ports.empty()) {
+  if (accepted == 0) {
     // Out of ports: refuse striping but keep the transfer alive — the
-    // 1-stripe plan on the negotiation port itself, which is exactly
-    // where the refused receiver falls back to. Close the listener
-    // first: a control connect queued in its backlog would die unseen.
-    listener.reset();
+    // 1-stripe plan on the negotiation listener itself, which is
+    // exactly where the refused receiver falls back to. It stays open,
+    // so that receiver's control connect waits in its backlog.
     if (!respond({})) return fail("negotiation response failed");
     metrics.counter("fobs.stripe.negotiation_rejected").inc();
     metrics.counter("fobs.stripe.fallbacks").inc();
     launch.data_ports = {request->data_ports.front()};
-    launch.control_ports = {options.negotiation_port};
-    launch.control_ports_owned = options.negotiation_port_owned;
+    launch.control_ports = {net::local_port(listener.get())};
+    launch.listeners.push_back(std::move(listener));
     launch.fallback_single_flow = true;
     return launch;
   }
-  if (!respond(launch.control_ports)) {
-    if (launch.control_ports_owned) {
-      engine.release_control_port_block(launch.control_ports.front(),
-                                        launch.control_ports.size());
-    }
-    return fail("negotiation response failed");
-  }
+  if (!respond(launch.control_ports)) return fail("negotiation response failed");
   metrics.counter("fobs.stripe.sessions").inc(accepted);
-  // Striping negotiated: the negotiation port has done its job.
-  if (options.negotiation_port_owned) engine.release_control_port(options.negotiation_port);
   launch.data_ports.assign(request->data_ports.begin(), request->data_ports.begin() + accepted);
   return launch;
 }
@@ -469,15 +463,12 @@ std::optional<StripeLaunch> negotiate_receive(const StripedReceiverOptions& opti
 
 bool TransferEngine::launch_striped_send(const StripedSenderOptions& options,
                                          std::span<const std::uint8_t> object,
-                                         const StripeLaunch& launch,
-                                         StripedSessionParams params, std::string* error) {
+                                         StripeLaunch launch, StripedSessionParams params,
+                                         std::string* error) {
   std::string plan_error;
   const auto plan =
       settle_plan(object.size(), options.endpoint.packet_bytes, launch, plan_error);
   if (!plan) {
-    if (launch.control_ports_owned) {
-      for (const auto port : launch.control_ports) release_control_port(port);
-    }
     if (error != nullptr) *error = plan_error;
     return false;
   }
@@ -501,7 +492,9 @@ bool TransferEngine::launch_striped_send(const StripedSenderOptions& options,
     session.stripe = {plan, i};
     SessionParams session_params;
     session_params.keepalive = params.keepalive;  // shared across stripes
-    if (launch.control_ports_owned) session_params.owned_control_port = session.control_port;
+    if (!launch.listeners.empty()) {
+      session_params.listener = std::move(launch.listeners[static_cast<std::size_t>(i)]);
+    }
     session_params.on_exit = [agg, i](const TransferHandle& handle) {
       agg->stripe_done(i, handle.sender_result());
     };
@@ -589,14 +582,13 @@ bool TransferEngine::submit_striped_send(const StripedSenderOptions& options,
                                          std::span<const std::uint8_t> object,
                                          StripedSessionParams params, std::string* error) {
   std::string why;
-  const auto launch = negotiate_send(*this, options, object.size(), why);
+  auto launch = negotiate_send(*this, options, std::move(params.listener), object.size(), why);
   if (!launch) {
-    if (options.negotiation_port_owned) release_control_port(options.negotiation_port);
     telemetry::MetricsRegistry::global().counter("fobs.stripe.negotiation_failures").inc();
     if (error != nullptr) *error = why;
     return false;
   }
-  return launch_striped_send(options, object, *launch, std::move(params), error);
+  return launch_striped_send(options, object, std::move(*launch), std::move(params), error);
 }
 
 StripedResult TransferEngine::run_striped_sender(const StripedSenderOptions& options,

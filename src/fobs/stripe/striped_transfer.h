@@ -15,12 +15,14 @@
 //     connects to the sender's negotiation TCP port and sends a
 //     FOBSSTRP request (stripe count, layout, per-stripe UDP data
 //     ports). The sender clamps the count (its max_stripes, the
-//     object's packet count, free control ports) and answers with the
-//     accepted count and one TCP control port per stripe. A refusal
-//     (accepted count zero) or a pre-striping sender, which drops the
-//     connection on the unknown token, settles on the 1-stripe plan on
-//     (data_port_base, negotiation_port) instead, so both sides
-//     degrade together.
+//     object's packet count, the control listeners it could bind) and
+//     answers with the accepted count and one TCP control port per
+//     stripe — each already listening, so a port is advertised only
+//     once bound. A refusal (accepted count zero) or a pre-striping
+//     sender, which drops the connection on the unknown token, settles
+//     on the 1-stripe plan on (data_port_base, negotiation_port)
+//     instead, so both sides degrade together; a refusing sender keeps
+//     the negotiation listener open for that one flow.
 //   * Launch. A settled plan plus one (data port, control port) pair
 //     per stripe (StripeLaunch) starts one ordinary FOBS session per
 //     stripe in stripe-local sequence space — greedy UDP, selective-ACK
@@ -59,19 +61,14 @@ namespace fobs::posix {
 
 /// The launch step reads only core, endpoint and stripe_fault_plans.
 struct StripedSenderOptions {
-  /// TCP port to accept the FOBSSTRP negotiation on (required). On a
-  /// refused negotiation the 1-stripe fallback sender listens here
-  /// too, so legacy-shaped clients keep working.
+  /// TCP port to accept the FOBSSTRP negotiation on (required unless
+  /// StripedSessionParams::listener is handed). On a refused
+  /// negotiation the 1-stripe fallback sender accepts on the same
+  /// listener, so legacy-shaped clients keep working.
   std::uint16_t negotiation_port = 0;
-  /// The negotiation port was taken from the engine's allocator: the
-  /// engine returns it as soon as it is no longer needed (right after
-  /// negotiation for a striped run, after the session for the
-  /// 1-stripe fallback, immediately on a failed launch). Service
-  /// front-ends use this instead of releasing from a completion
-  /// callback, which could race engine teardown.
-  bool negotiation_port_owned = false;
   /// Upper bound on stripes this sender will accept (further clamped by
-  /// the object's packet count and available control ports).
+  /// the object's packet count and the control listeners it can bind
+  /// in the engine's range).
   int max_stripes = stripe::kMaxStripes;
   fobs::core::SenderConfig core;
   /// Applied to every stripe's session (packet size, stall budget, I/O
@@ -154,10 +151,10 @@ struct StripeLaunch {
   stripe::StripeLayout layout = stripe::StripeLayout::kContiguous;
   std::vector<std::uint16_t> data_ports;
   std::vector<std::uint16_t> control_ports;
-  /// Sender only: the control ports are leases from the engine's
-  /// allocator. Each goes back when its stripe's session ends, or at
-  /// once when the launch fails.
-  bool control_ports_owned = false;
+  /// Sender only: when non-empty, listeners[i] is already listening on
+  /// control_ports[i] and goes to stripe i's session, which closes it
+  /// when it ends. When empty, each session binds its port at submit.
+  std::vector<net::Fd> listeners = {};
   /// Copied into StripedResult::fallback_single_flow.
   bool fallback_single_flow = false;
 };
@@ -167,6 +164,10 @@ struct StripedSessionParams {
   /// Kept alive until the last stripe session ends (typically the
   /// mmap'd TransferObject backing the object span).
   std::shared_ptr<void> keepalive;
+  /// submit_striped_send only: an already listening negotiation socket,
+  /// used instead of binding negotiation_port. It is closed once
+  /// striping is agreed, or serves the 1-stripe fallback session.
+  net::Fd listener = {};
   /// Runs on the final stripe's worker once the aggregate is known.
   std::function<void(const StripedResult&)> on_complete;
 };
@@ -186,7 +187,8 @@ std::optional<Checkpoint> merge_striped_checkpoint(const std::string& base,
 /// no compatible object-level checkpoint was present.
 bool split_striped_checkpoint(const std::string& base, const stripe::StripePlan& plan);
 
-/// Removes `base` and every `<base>.s<i>` for i < stripe::kMaxStripes.
+/// Removes `base` and every `<base>.s<digits>` sidecar beside it, found
+/// by one scan of base's directory; other files are left alone.
 void remove_striped_checkpoints(const std::string& base);
 
 }  // namespace fobs::posix

@@ -63,6 +63,22 @@ Fd listen_tcp(std::uint16_t port, int backlog) {
   return fd;
 }
 
+Fd listen_tcp_in_range(std::uint16_t base, std::uint16_t count, int backlog) {
+  if (base == 0) return listen_tcp(0, backlog);
+  const std::uint32_t end = std::min<std::uint32_t>(std::uint32_t{base} + count, 0x1'0000u);
+  for (std::uint32_t port = base; port < end; ++port) {
+    if (Fd fd = listen_tcp(static_cast<std::uint16_t>(port), backlog); fd.valid()) return fd;
+  }
+  return {};
+}
+
+std::uint16_t local_port(int fd) {
+  sockaddr_in addr{};
+  socklen_t len = sizeof addr;
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) return 0;
+  return ntohs(addr.sin_port);
+}
+
 Fd accept_until(int listener, SocketClock::time_point deadline, std::string* peer_host) {
   for (;;) {
     sockaddr_in peer{};

@@ -6,9 +6,11 @@
 //  * stream sockets are non-blocking and every read or write carries a
 //    deadline, waiting on poll() in 10 ms steps so callers stay
 //    responsive to their own cancel and stall checks;
+//  * a port is advertised only once something listens on it, and
+//    listen_tcp_in_range holds the one rule for port ranges;
 //  * a connect retries on a fresh socket with capped exponential
-//    backoff (5 ms doubling to 200 ms), because the peer may not be
-//    listening yet or may be a restarting incarnation.
+//    backoff (5 ms doubling to 200 ms), for a peer that is restarting
+//    or has not started yet.
 // The datagram side is net::DatagramChannel.
 #pragma once
 
@@ -48,9 +50,20 @@ class Fd {
 
 bool set_nonblocking(int fd);
 
-/// Non-blocking TCP listener on 0.0.0.0:`port` (SO_REUSEADDR set).
-/// Invalid Fd when the socket cannot be created, bound or listened on.
+/// Non-blocking TCP listener on 0.0.0.0:`port` (SO_REUSEADDR set);
+/// port 0 lets the kernel choose. Invalid Fd when the socket cannot be
+/// created, bound or listened on.
 [[nodiscard]] Fd listen_tcp(std::uint16_t port, int backlog);
+
+/// listen_tcp on the first free port of [base, base + count), the range
+/// clamped at port 65535; base 0 lets the kernel choose. Invalid Fd when
+/// every port of the range is taken. This is the one rule for port
+/// ranges: the kernel says which ports are free, so nothing has to
+/// track leases, and a port is known only once something listens on it.
+[[nodiscard]] Fd listen_tcp_in_range(std::uint16_t base, std::uint16_t count, int backlog);
+
+/// The local port `fd` is bound to; 0 when it is not bound.
+[[nodiscard]] std::uint16_t local_port(int fd);
 
 /// Accepts one connection on a non-blocking `listener`, waiting until
 /// `deadline`; a deadline already past makes exactly one attempt. The

@@ -2,12 +2,14 @@
 // heart of the suite is the isolation test — three simultaneous
 // transfers of different sizes (one under fault injection), all
 // byte-identical, with per-session traces and results that never bleed
-// into each other. Plus handle lifecycle (wait/status/cancel), the
-// control-port allocator, and engine counters.
-//
-// Port block: 37000-37099 (keep clear of 36xxx = test_fobs_posix /
-// test_telemetry and 38xxx = test_fault_posix).
+// into each other. Plus handle lifecycle (wait/status/cancel), engine
+// counters, and the rendezvous: a sender's control port accepts from
+// the moment submit_send returns, and is free again once the session
+// is terminal.
 #include <gtest/gtest.h>
+
+#include <netinet/in.h>
+#include <sys/socket.h>
 
 #include <chrono>
 #include <cstdint>
@@ -21,11 +23,11 @@
 
 #include "fobs/posix/engine.h"
 #include "fobs/sim_transfer.h"
+#include "net/socket.h"
+#include "test_ports.h"
 
 namespace fobs {
 namespace {
-
-std::uint16_t port_base(int offset) { return static_cast<std::uint16_t>(37000 + offset); }
 
 /// Lines of the JSONL trace at `path` that record `event`; -1 when the
 /// file is missing.
@@ -64,8 +66,8 @@ TEST(EngineConcurrency, ThreeSimultaneousTransfersAreByteIdenticalAndIsolated) {
   std::vector<posix::TransferHandle> tx;
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     posix::ReceiverOptions ropt;
-    ropt.data_port = port_base(static_cast<int>(2 * i));
-    ropt.control_port = port_base(static_cast<int>(2 * i + 1));
+    ropt.data_port = test::port(static_cast<int>(2 * i));
+    ropt.control_port = test::port(static_cast<int>(2 * i + 1));
     ropt.core.ack_frequency = 16;
     ropt.endpoint.timeout_ms = 30'000;
     posix::SenderOptions sopt;
@@ -128,8 +130,8 @@ TEST(EngineHandle, IdsAreUniqueAndStatusTurnsTerminal) {
   std::vector<std::uint8_t> sink(object.size(), 0);
 
   posix::ReceiverOptions ropt;
-  ropt.data_port = port_base(20);
-  ropt.control_port = port_base(21);
+  ropt.data_port = test::port(20);
+  ropt.control_port = test::port(21);
   ropt.endpoint.timeout_ms = 30'000;
   posix::SenderOptions sopt;
   sopt.data_port = ropt.data_port;
@@ -161,8 +163,8 @@ TEST(EngineHandle, CancelStopsAWaitingSession) {
   // 30-second timeout; cancel() must end it promptly.
   std::vector<std::uint8_t> sink(64 * 1024, 0);
   posix::ReceiverOptions ropt;
-  ropt.data_port = port_base(24);
-  ropt.control_port = port_base(25);
+  ropt.data_port = test::port(24);
+  ropt.control_port = test::port(25);
   ropt.endpoint.timeout_ms = 30'000;
 
   posix::TransferEngine engine({.workers = 1});
@@ -215,8 +217,8 @@ TEST(EngineLifecycle, DestructorCancelsLiveSessions) {
   // waiting out the session's timeout.
   std::vector<std::uint8_t> sink(64 * 1024, 0);
   posix::ReceiverOptions ropt;
-  ropt.data_port = port_base(28);
-  ropt.control_port = port_base(29);
+  ropt.data_port = test::port(28);
+  ropt.control_port = test::port(29);
   ropt.endpoint.timeout_ms = 30'000;
 
   posix::TransferHandle handle;
@@ -234,83 +236,72 @@ TEST(EngineLifecycle, DestructorCancelsLiveSessions) {
 }
 
 // ---------------------------------------------------------------------------
-// Control-port allocator
+// Rendezvous: a sender listens from submit_send on
 // ---------------------------------------------------------------------------
 
-TEST(EnginePorts, AllocateReleaseAndExhaust) {
-  posix::TransferEngine engine(
-      {.workers = 1, .control_port_base = port_base(40), .control_port_count = 3});
-  EXPECT_EQ(engine.free_control_ports(), 3u);
-
-  const auto a = engine.allocate_control_port();
-  const auto b = engine.allocate_control_port();
-  const auto c = engine.allocate_control_port();
-  ASSERT_TRUE(a && b && c);
-  EXPECT_EQ(engine.free_control_ports(), 0u);
-  // Distinct ports, all inside the configured range.
-  EXPECT_NE(*a, *b);
-  EXPECT_NE(*b, *c);
-  EXPECT_NE(*a, *c);
-  for (const auto port : {*a, *b, *c}) {
-    EXPECT_GE(port, port_base(40));
-    EXPECT_LT(port, port_base(43));
-  }
-  // Exhausted: the allocator sheds instead of inventing ports.
-  EXPECT_FALSE(engine.allocate_control_port().has_value());
-
-  engine.release_control_port(*b);
-  EXPECT_EQ(engine.free_control_ports(), 1u);
-  const auto again = engine.allocate_control_port();
-  ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(*again, *b);
+/// One connect() attempt to 127.0.0.1:`port`, no retry.
+bool connects_at_once(std::uint16_t port) {
+  net::Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
+  const sockaddr_in addr = net::make_addr("127.0.0.1", port);
+  return fd.valid() &&
+         ::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0;
 }
 
-TEST(EnginePorts, DisabledAllocatorAlwaysRefuses) {
+TEST(EngineRendezvous, QueuedSenderAcceptsItsFirstConnect) {
+  // The only worker is busy with a receiver whose sender never comes,
+  // so the sender session below cannot start. Its control port must
+  // accept all the same: submit_send listened before queueing it.
+  std::vector<std::uint8_t> sink(64 * 1024, 0);
+  posix::ReceiverOptions blocker;
+  blocker.data_port = test::port(50);
+  blocker.control_port = test::port(51);  // nobody listens here
+  blocker.endpoint.timeout_ms = 30'000;
+  const auto object = core::make_pattern(64 * 1024, 0x5E55);
+  posix::SenderOptions sopt;
+  sopt.data_port = test::port(52);
+  sopt.control_port = test::port(53);
+  sopt.endpoint.timeout_ms = 30'000;
+
   posix::TransferEngine engine({.workers = 1});
-  EXPECT_EQ(engine.free_control_ports(), 0u);
-  EXPECT_FALSE(engine.allocate_control_port().has_value());
+  auto busy = engine.submit_receive(blocker, std::span<std::uint8_t>(sink));
+  auto queued = engine.submit_send(sopt, std::span<const std::uint8_t>(object));
+  EXPECT_EQ(queued.status(), posix::TransferStatus::kPending);
+  EXPECT_TRUE(connects_at_once(sopt.control_port))
+      << "a queued sender's control port refused the receiver's first connect";
+  // The session holds its port while it lives...
+  EXPECT_FALSE(net::listen_tcp(sopt.control_port, 1).valid());
+  EXPECT_EQ(queued.status(), posix::TransferStatus::kPending);
+
+  engine.cancel_all();
+  EXPECT_EQ(queued.wait(), posix::TransferStatus::kCancelled);
+  busy.wait();
+  // ...and gives it back before it turns terminal.
+  EXPECT_TRUE(net::listen_tcp(sopt.control_port, 1).valid());
 }
 
-TEST(EnginePorts, RangePastPortMaxIsClampedNotWrapped) {
-  // base 65530 + count 100 would wrap uint16_t arithmetic and hand out
-  // low-numbered ports; the engine must clamp the range to the valid
-  // tail instead. (The allocator is pure bookkeeping — nothing binds.)
-  posix::TransferEngine engine(
-      {.workers = 1, .control_port_base = 65'530, .control_port_count = 100});
-  EXPECT_EQ(engine.free_control_ports(), 6u);
-  for (int i = 0; i < 6; ++i) {
-    const auto port = engine.allocate_control_port();
-    ASSERT_TRUE(port.has_value());
-    EXPECT_GE(*port, 65'530);
+TEST(EngineRendezvous, SessionPortBindsAgainOnceTheSessionEnds) {
+  // A completed transfer, then a failed one on the same control port:
+  // the second bind only works if the first session closed its
+  // listener before turning terminal.
+  const auto object = core::make_pattern(32 * 1024, 0xB1D);
+  posix::TransferEngine engine({.workers = 2});
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::uint8_t> sink(object.size(), 0);
+    posix::ReceiverOptions ropt;
+    ropt.data_port = test::port(54);
+    ropt.control_port = test::port(55);
+    ropt.endpoint.timeout_ms = 30'000;
+    posix::SenderOptions sopt;
+    sopt.data_port = ropt.data_port;
+    sopt.control_port = ropt.control_port;
+    sopt.endpoint.timeout_ms = 30'000;
+    auto tx = engine.submit_send(sopt, std::span<const std::uint8_t>(object));
+    auto rx = engine.submit_receive(ropt, std::span<std::uint8_t>(sink));
+    EXPECT_EQ(tx.wait(), posix::TransferStatus::kCompleted) << "round " << round;
+    EXPECT_EQ(rx.wait(), posix::TransferStatus::kCompleted) << "round " << round;
+    EXPECT_EQ(sink, object);
+    EXPECT_TRUE(net::listen_tcp(sopt.control_port, 1).valid()) << "round " << round;
   }
-  EXPECT_FALSE(engine.allocate_control_port().has_value());
-
-  // Base 0 is not a usable listening port: the allocator stays disabled
-  // rather than handing out ports 0..N-1.
-  posix::TransferEngine zero_base(
-      {.workers = 1, .control_port_base = 0, .control_port_count = 8});
-  EXPECT_EQ(zero_base.free_control_ports(), 0u);
-  EXPECT_FALSE(zero_base.allocate_control_port().has_value());
-}
-
-TEST(EnginePorts, OwnedPortIsReleasedWhenSessionEnds) {
-  posix::TransferEngine engine(
-      {.workers = 1, .control_port_base = port_base(44), .control_port_count = 1});
-  const auto port = engine.allocate_control_port();
-  ASSERT_TRUE(port.has_value());
-  EXPECT_EQ(engine.free_control_ports(), 0u);
-
-  // The session fails instantly (bad options) — but its owned port must
-  // still flow back to the allocator.
-  std::vector<std::uint8_t> sink(1024, 0);
-  posix::SessionParams params;
-  params.owned_control_port = *port;
-  auto handle =
-      engine.submit_receive(posix::ReceiverOptions{}, std::span<std::uint8_t>(sink),
-                            std::move(params));
-  handle.wait();
-  engine.wait_idle();
-  EXPECT_EQ(engine.free_control_ports(), 1u);
 }
 
 }  // namespace

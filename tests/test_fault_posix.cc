@@ -24,13 +24,10 @@
 #include "fobs/posix/posix_transfer.h"
 #include "fobs/sim_transfer.h"
 #include "telemetry/trace.h"
+#include "test_ports.h"
 
 namespace fobs {
 namespace {
-
-// Distinct port bases per test to avoid rebind races (keep clear of
-// test_fobs_posix.cc's 36xxx block).
-std::uint16_t port_base(int offset) { return static_cast<std::uint16_t>(38000 + offset); }
 
 // ---------------------------------------------------------------------------
 // Option validation (no sockets touched)
@@ -46,16 +43,16 @@ TEST(FaultPosixValidation, SenderRejectsBadOptions) {
   EXPECT_NE(result.error.find("data_port"), std::string::npos) << result.error;
 
   posix::SenderOptions bad_packet;
-  bad_packet.data_port = port_base(0);
-  bad_packet.control_port = port_base(1);
+  bad_packet.data_port = test::port(0);
+  bad_packet.control_port = test::port(1);
   bad_packet.endpoint.packet_bytes = 0;
   result = posix::send_object(bad_packet, object);
   EXPECT_FALSE(result.completed());
   EXPECT_NE(result.error.find("packet_bytes"), std::string::npos) << result.error;
 
   posix::SenderOptions empty_object;
-  empty_object.data_port = port_base(0);
-  empty_object.control_port = port_base(1);
+  empty_object.data_port = test::port(0);
+  empty_object.control_port = test::port(1);
   result = posix::send_object(empty_object, {});
   EXPECT_FALSE(result.completed());
   EXPECT_NE(result.error.find("empty object"), std::string::npos) << result.error;
@@ -71,16 +68,16 @@ TEST(FaultPosixValidation, ReceiverRejectsBadOptions) {
   EXPECT_NE(result.error.find("data_port"), std::string::npos) << result.error;
 
   posix::ReceiverOptions bad_packet;
-  bad_packet.data_port = port_base(2);
-  bad_packet.control_port = port_base(3);
+  bad_packet.data_port = test::port(2);
+  bad_packet.control_port = test::port(3);
   bad_packet.endpoint.packet_bytes = -5;
   result = posix::receive_object(bad_packet, sink);
   EXPECT_FALSE(result.completed());
   EXPECT_NE(result.error.find("packet_bytes"), std::string::npos) << result.error;
 
   posix::ReceiverOptions empty_buffer;
-  empty_buffer.data_port = port_base(2);
-  empty_buffer.control_port = port_base(3);
+  empty_buffer.data_port = test::port(2);
+  empty_buffer.control_port = test::port(3);
   result = posix::receive_object(empty_buffer, {});
   EXPECT_FALSE(result.completed());
   EXPECT_NE(result.error.find("empty buffer"), std::string::npos) << result.error;
@@ -89,8 +86,8 @@ TEST(FaultPosixValidation, ReceiverRejectsBadOptions) {
 TEST(FaultPosixValidation, MalformedFaultPlanIsReportedNotIgnored) {
   const std::vector<std::uint8_t> object(1024, 0xAA);
   posix::SenderOptions options;
-  options.data_port = port_base(4);
-  options.control_port = port_base(5);
+  options.data_port = test::port(4);
+  options.control_port = test::port(5);
   options.endpoint.fault_plan = "data.corrupt=2.0";
   const auto result = posix::send_object(options, object);
   EXPECT_EQ(result.status, posix::TransferStatus::kBadOptions);
@@ -109,8 +106,8 @@ TEST(FaultPosixStall, SenderGivesUpAfterEmptyIntervalsWithStallTrace) {
   const auto object = core::make_pattern(64 * 1024, 0xBEEF);
   telemetry::EventTracer trace;
   posix::SenderOptions options;
-  options.data_port = port_base(6);
-  options.control_port = port_base(7);
+  options.data_port = test::port(6);
+  options.control_port = test::port(7);
   options.endpoint.timeout_ms = 1'000;
   options.endpoint.stall_intervals = 4;
   options.endpoint.tracer = &trace;
@@ -162,8 +159,8 @@ TEST(FaultPosixGarbage, TransferSurvivesGarbageDatagramsAndCorruptAcks) {
   std::vector<std::uint8_t> sink(object.size(), 0);
 
   posix::ReceiverOptions recv_opts;
-  recv_opts.data_port = port_base(10);
-  recv_opts.control_port = port_base(11);
+  recv_opts.data_port = test::port(10);
+  recv_opts.control_port = test::port(11);
   recv_opts.endpoint.packet_bytes = packet_bytes;
   recv_opts.core.ack_frequency = 4;
   recv_opts.endpoint.timeout_ms = 30'000;
@@ -223,8 +220,8 @@ TEST(FaultPosixGarbage, CorruptedDataPacketsAreRejectedAndResent) {
   std::vector<std::uint8_t> sink(object.size(), 0);
 
   posix::ReceiverOptions recv_opts;
-  recv_opts.data_port = port_base(12);
-  recv_opts.control_port = port_base(13);
+  recv_opts.data_port = test::port(12);
+  recv_opts.control_port = test::port(13);
   recv_opts.core.ack_frequency = 16;
   recv_opts.endpoint.timeout_ms = 30'000;
 
@@ -262,8 +259,8 @@ TransferPair run_crash_restart(int port_offset, bool resume,
   posix::remove_checkpoint(checkpoint_path);
 
   posix::ReceiverOptions recv_opts;
-  recv_opts.data_port = port_base(port_offset);
-  recv_opts.control_port = port_base(port_offset + 1);
+  recv_opts.data_port = test::port(port_offset);
+  recv_opts.control_port = test::port(port_offset + 1);
   recv_opts.core.ack_frequency = 16;
   recv_opts.endpoint.timeout_ms = 30'000;
   recv_opts.checkpoint_path = checkpoint_path;
@@ -332,8 +329,8 @@ TEST(FaultPosixResume, CheckpointIsRemovedAfterCompletion) {
   std::vector<std::uint8_t> sink(object.size(), 0);
 
   posix::ReceiverOptions recv_opts;
-  recv_opts.data_port = port_base(28);
-  recv_opts.control_port = port_base(29);
+  recv_opts.data_port = test::port(28);
+  recv_opts.control_port = test::port(29);
   recv_opts.core.ack_frequency = 16;
   recv_opts.endpoint.timeout_ms = 30'000;
   recv_opts.checkpoint_path = checkpoint_path;

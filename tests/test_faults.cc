@@ -4,6 +4,8 @@
 // sidecar format.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -348,8 +350,11 @@ TEST(AckHardening, AcceptsMaximumLegitimateFragment) {
 class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "fobs_checkpoint_test_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".ckpt";
+    // Named by pid and test, not by address: sanitizer runtimes give
+    // every process the same heap layout, so `this` collides across
+    // parallel test processes.
+    path_ = ::testing::TempDir() + "fobs_checkpoint_test_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".ckpt";
     posix::remove_checkpoint(path_);
   }
   void TearDown() override { posix::remove_checkpoint(path_); }

@@ -3,10 +3,10 @@
 // from distinct clients, all byte-identical) plus the catalog-timeout
 // bugfix (a connected-but-silent client can no longer wedge the serve
 // loop), the refusal paths, resuming through fetch_file with one and
-// two stripes, pairing with a pre-striping server, and per-stripe
-// session traces.
-//
-// Port block: 37100-37199 (test_engine owns 37000-37099).
+// two stripes, pairing with a pre-striping server, per-stripe session
+// traces, and the rendezvous: every control port the server advertises
+// already listens. Servers bind kernel-chosen catalog and control
+// ports; only client data ports come from test_ports.h.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -30,7 +30,9 @@
 #include "fobs/posix/checkpoint.h"
 #include "fobs/posix/fileserver.h"
 #include "fobs/stripe/plan.h"
+#include "fobs/stripe/negotiate.h"
 #include "net/socket.h"
+#include "test_ports.h"
 
 namespace fobs {
 namespace {
@@ -88,7 +90,6 @@ TEST(FileServer, ThreeOverlappingFetchesAreByteIdentical) {
 
   posix::FileServerOptions options;
   options.dir = dir;
-  options.catalog_port = 37100;  // control ports 37101..37132
   options.quiet = true;
   options.endpoint.timeout_ms = 30'000;
   posix::FileServer server(options);
@@ -101,10 +102,10 @@ TEST(FileServer, ThreeOverlappingFetchesAreByteIdentical) {
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     clients.emplace_back([&, i] {
       posix::FetchOptions fetch;
-      fetch.catalog_port = options.catalog_port;
+      fetch.catalog_port = server.options().catalog_port;
       fetch.name = "dataset" + std::to_string(i) + ".bin";
       fetch.out_path = dir + "/fetched" + std::to_string(i) + ".bin";
-      fetch.data_port = static_cast<std::uint16_t>(37150 + i);
+      fetch.data_port = test::port(static_cast<int>(i));
       fetch.quiet = true;
       fetch.endpoint.timeout_ms = 30'000;
       results[i] = posix::fetch_file(fetch);
@@ -143,7 +144,6 @@ TEST(FileServer, SilentCatalogClientTimesOutAndServiceContinues) {
 
   posix::FileServerOptions options;
   options.dir = dir;
-  options.catalog_port = 37160;
   options.catalog_recv_timeout_ms = 500;
   options.quiet = true;
   options.endpoint.timeout_ms = 30'000;
@@ -152,15 +152,15 @@ TEST(FileServer, SilentCatalogClientTimesOutAndServiceContinues) {
 
   // A client connects and then says nothing — the pre-engine fobsd
   // would block on recv() here forever, wedging every later request.
-  const int silent = connect_tcp(options.catalog_port);
+  const int silent = connect_tcp(server.options().catalog_port);
   ASSERT_GE(silent, 0);
 
   // While the silent client sits there, a real fetch must still work.
   posix::FetchOptions fetch;
-  fetch.catalog_port = options.catalog_port;
+  fetch.catalog_port = server.options().catalog_port;
   fetch.name = "dataset0.bin";
   fetch.out_path = dir + "/fetched0.bin";
-  fetch.data_port = 37170;
+  fetch.data_port = test::port(4);
   fetch.quiet = true;
   fetch.endpoint.timeout_ms = 30'000;
   const auto result = posix::fetch_file(fetch);
@@ -191,7 +191,6 @@ TEST(FileServer, StopWithHandlerInFlightIsPromptAndSafe) {
 
   posix::FileServerOptions options;
   options.dir = dir;
-  options.catalog_port = 37140;
   options.catalog_recv_timeout_ms = 10'000;
   options.quiet = true;
   posix::FileServer server(options);
@@ -199,7 +198,7 @@ TEST(FileServer, StopWithHandlerInFlightIsPromptAndSafe) {
 
   // Connect silently and wait until the handler is actually running
   // (it counts the request on entry), so stop() races a live handler.
-  const int silent = connect_tcp(options.catalog_port);
+  const int silent = connect_tcp(server.options().catalog_port);
   ASSERT_GE(silent, 0);
   const auto dispatch_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (server.requests_handled() == 0 &&
@@ -229,16 +228,15 @@ TEST(FileServer, UnknownFileAndTraversalAreRefused) {
 
   posix::FileServerOptions options;
   options.dir = dir;
-  options.catalog_port = 37180;
   options.quiet = true;
   posix::FileServer server(options);
   ASSERT_TRUE(server.start());
 
   posix::FetchOptions missing;
-  missing.catalog_port = options.catalog_port;
+  missing.catalog_port = server.options().catalog_port;
   missing.name = "no-such-file.bin";
   missing.out_path = dir + "/never.bin";
-  missing.data_port = 37185;
+  missing.data_port = test::port(6);
   missing.quiet = true;
   const auto refused = posix::fetch_file(missing);
   EXPECT_EQ(refused.status, posix::TransferStatus::kPeerLost);
@@ -270,7 +268,7 @@ TEST(FileServer, FetchAgainstARefusedPortFailsWithinItsTimeout) {
   fetch.catalog_port = ntohs(addr.sin_port);
   fetch.name = "anything.bin";
   fetch.out_path = ::testing::TempDir() + "fobs_fileserver_refused.bin";
-  fetch.data_port = 37188;
+  fetch.data_port = test::port(8);
   fetch.quiet = true;
   fetch.endpoint.timeout_ms = 300;
   const auto start = std::chrono::steady_clock::now();
@@ -282,14 +280,30 @@ TEST(FileServer, FetchAgainstARefusedPortFailsWithinItsTimeout) {
 
 TEST(FileServer, StartRejectsInvalidOptions) {
   posix::FileServerOptions no_dir_options;
-  no_dir_options.catalog_port = 37190;
   posix::FileServer no_dir(no_dir_options);
   EXPECT_FALSE(no_dir.start());
 
-  posix::FileServerOptions no_port_options;
-  no_port_options.dir = "/tmp";
-  posix::FileServer no_port(no_port_options);
-  EXPECT_FALSE(no_port.start());
+  // A control range with a base but no ports could never serve.
+  posix::FileServerOptions empty_range_options;
+  empty_range_options.dir = "/tmp";
+  empty_range_options.control_port_base = test::port(9);
+  empty_range_options.control_port_count = 0;
+  posix::FileServer empty_range(empty_range_options);
+  EXPECT_FALSE(empty_range.start());
+}
+
+TEST(FileServer, CatalogPortZeroIsKernelChosenAndReported) {
+  posix::FileServerOptions options;
+  options.dir = "/tmp";
+  options.quiet = true;
+  posix::FileServer server(options);
+  ASSERT_TRUE(server.start());
+  const std::uint16_t port = server.options().catalog_port;
+  EXPECT_NE(port, 0);
+  const int conn = connect_tcp(port);
+  EXPECT_GE(conn, 0);
+  if (conn >= 0) ::close(conn);
+  server.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -356,8 +370,6 @@ TEST(FileServer, FetchResumesFromPartialFileWithOneOrTwoStripes) {
 
   posix::FileServerOptions options;
   options.dir = dir;
-  options.catalog_port = 37110;  // control ports 37111..37118
-  options.control_port_count = 8;
   options.quiet = true;
   options.endpoint.timeout_ms = 30'000;
   posix::FileServer server(options);
@@ -365,7 +377,7 @@ TEST(FileServer, FetchResumesFromPartialFileWithOneOrTwoStripes) {
 
   auto fetch_to = [&](const std::string& out, std::uint16_t data_port, int stripes) {
     posix::FetchOptions fetch;
-    fetch.catalog_port = options.catalog_port;
+    fetch.catalog_port = server.options().catalog_port;
     fetch.name = "dataset.bin";
     fetch.out_path = out;
     fetch.data_port = data_port;
@@ -385,7 +397,7 @@ TEST(FileServer, FetchResumesFromPartialFileWithOneOrTwoStripes) {
     SCOPED_TRACE("K=1 resumes exactly the marked packets");
     const std::string out = dir + "/one.bin";
     stage_partial_fetch(original, out, /*with_part=*/true, /*with_checkpoint=*/true);
-    const auto result = fetch_to(out, 37120, 1);
+    const auto result = fetch_to(out, test::port(10), 1);
     ASSERT_TRUE(result.completed()) << result.error;
     EXPECT_EQ(result.stripes, 1);
     EXPECT_EQ(result.packets_restored, kResumeMarked);
@@ -397,7 +409,7 @@ TEST(FileServer, FetchResumesFromPartialFileWithOneOrTwoStripes) {
     SCOPED_TRACE("K=2 splits the object-level checkpoint over its stripes");
     const std::string out = dir + "/two.bin";
     stage_partial_fetch(original, out, true, true);
-    const auto result = fetch_to(out, 37122, 2);  // data ports 37122, 37123
+    const auto result = fetch_to(out, test::port(12), 2);  // and the port after it
     ASSERT_TRUE(result.completed()) << result.error;
     EXPECT_EQ(result.stripes, 2);
     EXPECT_FALSE(result.fallback_single_flow);
@@ -410,7 +422,7 @@ TEST(FileServer, FetchResumesFromPartialFileWithOneOrTwoStripes) {
     SCOPED_TRACE("a checkpoint without its .part is discarded");
     const std::string out = dir + "/orphan.bin";
     stage_partial_fetch(original, out, /*with_part=*/false, /*with_checkpoint=*/true);
-    const auto result = fetch_to(out, 37125, 1);
+    const auto result = fetch_to(out, test::port(15), 1);
     ASSERT_TRUE(result.completed()) << result.error;
     EXPECT_EQ(result.packets_restored, 0);
     EXPECT_TRUE(fetched_matches(out));
@@ -427,7 +439,7 @@ TEST(FileServer, FetchResumesFromPartialFileWithOneOrTwoStripes) {
                                          stripe::StripeLayout::kContiguous, &plan));
     ASSERT_TRUE(posix::save_checkpoint(
         out + ".ckpt.s0", first_packets_checkpoint(plan.stripe_bytes(0), kResumeMarked)));
-    const auto result = fetch_to(out, 37127, 1);
+    const auto result = fetch_to(out, test::port(17), 1);
     ASSERT_TRUE(result.completed()) << result.error;
     EXPECT_EQ(result.packets_restored, kResumeMarked);
     EXPECT_TRUE(fetched_matches(out));
@@ -449,9 +461,9 @@ TEST(FileServer, DefaultFetchPairsWithAPreStripingServer) {
   // serves a plain sender session on the replied control port. A fetch
   // that negotiated even a 1-stripe plan would have its FOBSSTRP token
   // dropped there and report a fallback.
-  constexpr std::uint16_t kCatalogPort = 37193;
-  constexpr std::uint16_t kControlPort = 37194;
-  constexpr std::uint16_t kDataPort = 37195;
+  const std::uint16_t kCatalogPort = test::port(20);
+  const std::uint16_t kControlPort = test::port(21);
+  const std::uint16_t kDataPort = test::port(22);
   auto object = core::TransferObject::pattern(96 * 1024 + 5, 0x01D);
   const std::string out = ::testing::TempDir() + "fobs_fileserver_prestriping.bin";
 
@@ -511,8 +523,6 @@ TEST(FileServer, StripedFetchWritesOneTracePerStripeSession) {
 
   posix::FileServerOptions options;
   options.dir = dir;
-  options.catalog_port = 37130;  // control ports 37131..37134
-  options.control_port_count = 4;
   options.trace_dir = trace_dir;
   options.quiet = true;
   options.endpoint.timeout_ms = 30'000;
@@ -520,10 +530,10 @@ TEST(FileServer, StripedFetchWritesOneTracePerStripeSession) {
   ASSERT_TRUE(server.start());
 
   posix::FetchOptions fetch;
-  fetch.catalog_port = options.catalog_port;
+  fetch.catalog_port = server.options().catalog_port;
   fetch.name = "dataset0.bin";
   fetch.out_path = dir + "/fetched.bin";
-  fetch.data_port = 37136;  // and 37137
+  fetch.data_port = test::port(24);  // and the port after it
   fetch.stripes = 2;
   fetch.quiet = true;
   fetch.endpoint.timeout_ms = 30'000;
@@ -564,6 +574,123 @@ TEST(FileServer, StripedFetchWritesOneTracePerStripeSession) {
   }
   std::sort(stripes_traced.begin(), stripes_traced.end());
   EXPECT_EQ(stripes_traced, (std::vector<int>{0, 1}));
+  std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Rendezvous: a port goes on the wire only once something listens on it
+// ---------------------------------------------------------------------------
+
+/// Sends one catalog request line and returns the replied control port
+/// (0 when refused or nothing came back).
+std::uint16_t catalog_request(std::uint16_t catalog_port, const std::string& line) {
+  net::Fd conn(connect_tcp(catalog_port));
+  if (!conn.valid() || !net::set_nonblocking(conn.get())) return 0;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  if (!net::send_all(conn.get(), line.data(), line.size(), deadline)) return 0;
+  std::string reply;
+  char ch = 0;
+  while (net::read_exact(conn.get(), &ch, 1, deadline) && ch != '\n') reply.push_back(ch);
+  long long size = -1;
+  int port = 0;
+  if (std::sscanf(reply.c_str(), "%lld %d", &size, &port) != 2 || size < 0) return 0;
+  return static_cast<std::uint16_t>(port);
+}
+
+TEST(FileServer, AdvertisedControlPortsAcceptTheFirstConnect) {
+  // The catalog reply's control port, and every stripe control port of
+  // a FOBSSTRP response, take one connect() with no retry. Repeated:
+  // a server that advertised before binding lost this race only some
+  // of the time.
+  const std::string dir = ::testing::TempDir() + "fobs_fileserver_rendezvous";
+  constexpr std::int64_t kBytes = 64 * 1024;
+  constexpr int kStripes = 4;
+  stage_files(dir, {kBytes});
+  for (int round = 0; round < 10; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    posix::FileServerOptions options;
+    options.dir = dir;
+    options.workers = 2 + kStripes;
+    options.quiet = true;
+    options.endpoint.timeout_ms = 30'000;
+    posix::FileServer server(options);
+    ASSERT_TRUE(server.start());
+    const std::uint16_t catalog = server.options().catalog_port;
+
+    const std::uint16_t plain =
+        catalog_request(catalog, "dataset0.bin " + std::to_string(test::port(26)) + "\n");
+    ASSERT_NE(plain, 0);
+    const net::Fd control(connect_tcp(plain));
+    EXPECT_TRUE(control.valid()) << "catalog reply's control port " << plain << " refused";
+
+    const std::uint16_t negotiation = catalog_request(
+        catalog, "dataset0.bin " + std::to_string(test::port(27)) + " " +
+                     std::to_string(kStripes) + "\n");
+    ASSERT_NE(negotiation, 0);
+    net::Fd conn(connect_tcp(negotiation));
+    ASSERT_TRUE(conn.valid()) << "negotiation port " << negotiation << " refused";
+    ASSERT_TRUE(net::set_nonblocking(conn.get()));
+    stripe::StripeRequest request;
+    request.object_bytes = kBytes;
+    request.packet_bytes = options.endpoint.packet_bytes;
+    for (int i = 0; i < kStripes; ++i) {
+      request.data_ports.push_back(static_cast<std::uint16_t>(test::port(27) + i));
+    }
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    const auto wire = stripe::encode_stripe_request(request);
+    ASSERT_TRUE(net::send_all(conn.get(), wire.data(), wire.size(), deadline));
+    std::vector<std::uint8_t> frame(stripe::stripe_response_size(kStripes));
+    ASSERT_TRUE(net::read_exact(conn.get(), frame.data(), frame.size(), deadline));
+    const auto response = stripe::decode_stripe_response(frame.data(), frame.size());
+    ASSERT_TRUE(response.has_value());
+    ASSERT_EQ(response->accepted(), kStripes);
+    std::vector<net::Fd> stripes;
+    for (const auto port : response->control_ports) {
+      stripes.emplace_back(connect_tcp(port));
+      EXPECT_TRUE(stripes.back().valid()) << "stripe control port " << port << " refused";
+    }
+    server.stop();
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileServer, ExhaustedControlRangeRefusesUntilAPortFrees) {
+  // The range is the kernel's to enforce: with its only port taken, a
+  // request is refused; once the port is free, the reply names it.
+  const std::string dir = ::testing::TempDir() + "fobs_fileserver_range";
+  const auto checksums = stage_files(dir, {32 * 1024});
+  posix::FileServerOptions options;
+  options.dir = dir;
+  options.control_port_base = test::port(32);
+  options.control_port_count = 1;
+  options.quiet = true;
+  options.endpoint.timeout_ms = 30'000;
+  posix::FileServer server(options);
+  ASSERT_TRUE(server.start());
+
+  posix::FetchOptions fetch;
+  fetch.catalog_port = server.options().catalog_port;
+  fetch.name = "dataset0.bin";
+  fetch.out_path = dir + "/fetched0.bin";
+  fetch.data_port = test::port(33);
+  fetch.quiet = true;
+  fetch.endpoint.timeout_ms = 30'000;
+  {
+    const net::Fd taken = net::listen_tcp(options.control_port_base, 1);
+    ASSERT_TRUE(taken.valid());
+    EXPECT_EQ(posix::fetch_file(fetch).status, posix::TransferStatus::kPeerLost);
+    EXPECT_EQ(server.requests_refused(), 1u);
+  }
+  const auto result = posix::fetch_file(fetch);
+  EXPECT_TRUE(result.completed()) << result.error;
+  EXPECT_EQ(result.checksum, checksums[0]);
+  wait_transfers_settled(server);
+  // The session's port is the range's one port, free again once the
+  // session ended.
+  EXPECT_EQ(catalog_request(server.options().catalog_port,
+                            "dataset0.bin " + std::to_string(test::port(34)) + "\n"),
+            options.control_port_base);
+  server.stop();
   std::filesystem::remove_all(dir);
 }
 

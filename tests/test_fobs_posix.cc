@@ -13,12 +13,10 @@
 #include "fobs/posix/posix_transfer.h"
 #include "fobs/sim_transfer.h"
 #include "telemetry/trace.h"
+#include "test_ports.h"
 
 namespace fobs {
 namespace {
-
-// Distinct port bases per test to avoid rebind races.
-std::uint16_t port_base(int offset) { return static_cast<std::uint16_t>(36000 + offset); }
 
 TEST(FobsPosixCodec, DataHeaderRoundTrip) {
   std::uint8_t buf[posix::kDataHeaderSize];
@@ -71,8 +69,8 @@ void run_loopback_transfer(std::int64_t object_bytes, std::int64_t packet_bytes,
   std::vector<std::uint8_t> sink(object.size(), 0);
 
   posix::ReceiverOptions recv_opts;
-  recv_opts.data_port = port_base(port_offset);
-  recv_opts.control_port = port_base(port_offset + 1);
+  recv_opts.data_port = test::port(port_offset);
+  recv_opts.control_port = test::port(port_offset + 1);
   recv_opts.endpoint.packet_bytes = packet_bytes;
   recv_opts.core.ack_frequency = ack_frequency;
   recv_opts.endpoint.timeout_ms = 30'000;
@@ -120,8 +118,8 @@ TEST(FobsPosixTransfer, SenderTimesOutWithNoReceiver) {
   telemetry::EventTracer trace;
 
   posix::SenderOptions opts;
-  opts.data_port = port_base(40);
-  opts.control_port = port_base(41);
+  opts.data_port = test::port(40);
+  opts.control_port = test::port(41);
   opts.endpoint.timeout_ms = 1'000;
   opts.endpoint.tracer = &trace;
 
@@ -152,8 +150,8 @@ TEST(FobsPosixTransfer, ReceiverTimesOutWithNoSender) {
   telemetry::EventTracer trace;
 
   posix::ReceiverOptions opts;
-  opts.data_port = port_base(42);
-  opts.control_port = port_base(43);
+  opts.data_port = test::port(42);
+  opts.control_port = test::port(43);
   opts.endpoint.timeout_ms = 1'000;
   opts.endpoint.tracer = &trace;
 

@@ -28,13 +28,10 @@
 #include "fobs/posix/posix_transfer.h"
 #include "fobs/sim_transfer.h"
 #include "net/datagram_channel.h"
+#include "test_ports.h"
 
 namespace fobs {
 namespace {
-
-// Distinct port bases per test to avoid rebind races (clear of the
-// 36xxx / 37xxx / 38xxx blocks used by the other POSIX suites).
-std::uint16_t port_base(int offset) { return static_cast<std::uint16_t>(39000 + offset); }
 
 sockaddr_in loopback(std::uint16_t port) {
   sockaddr_in addr{};
@@ -81,8 +78,8 @@ TEST(IoOptionsValidation, RejectsOutOfRangeValues) {
 TEST(IoOptionsValidation, BadIoOptionsYieldBadOptionsBeforeAnySocket) {
   const std::vector<std::uint8_t> object(1024, 0xAA);
   posix::SenderOptions send_opts;
-  send_opts.data_port = port_base(0);
-  send_opts.control_port = port_base(1);
+  send_opts.data_port = test::port(0);
+  send_opts.control_port = test::port(1);
   send_opts.endpoint.io.send_batch = 1000;
   auto sender = posix::send_object(send_opts, object);
   EXPECT_EQ(sender.status, posix::TransferStatus::kBadOptions);
@@ -90,8 +87,8 @@ TEST(IoOptionsValidation, BadIoOptionsYieldBadOptionsBeforeAnySocket) {
 
   std::vector<std::uint8_t> sink(1024, 0);
   posix::ReceiverOptions recv_opts;
-  recv_opts.data_port = port_base(0);
-  recv_opts.control_port = port_base(1);
+  recv_opts.data_port = test::port(0);
+  recv_opts.control_port = test::port(1);
   recv_opts.endpoint.io.recv_batch = 0;
   auto receiver = posix::receive_object(recv_opts, sink);
   EXPECT_EQ(receiver.status, posix::TransferStatus::kBadOptions);
@@ -281,8 +278,8 @@ TransferPair run_mode_pair(int port_offset, net::IoMode mode,
                            std::span<const std::uint8_t> object,
                            std::span<std::uint8_t> sink, const std::string& fault_plan = {}) {
   posix::ReceiverOptions recv_opts;
-  recv_opts.data_port = port_base(port_offset);
-  recv_opts.control_port = port_base(port_offset + 1);
+  recv_opts.data_port = test::port(port_offset);
+  recv_opts.control_port = test::port(port_offset + 1);
   recv_opts.endpoint.timeout_ms = 30'000;
   recv_opts.endpoint.io.mode = mode;
 
@@ -348,8 +345,8 @@ TEST(IoTransfer, TransferSurvivesGarbageSprayedIntoBatches) {
   std::vector<std::uint8_t> sink(object.size(), 0);
 
   posix::ReceiverOptions recv_opts;
-  recv_opts.data_port = port_base(16);
-  recv_opts.control_port = port_base(17);
+  recv_opts.data_port = test::port(16);
+  recv_opts.control_port = test::port(17);
   recv_opts.endpoint.timeout_ms = 30'000;
   posix::SenderOptions send_opts;
   send_opts.data_port = recv_opts.data_port;

@@ -1,7 +1,8 @@
 // Unit tests for the shared stream-socket helpers (net/socket.h): the
 // deadline, EOF and backoff behaviour every TCP exchange of the
-// real-socket drivers relies on. Listeners bind port 0, so the suite
-// needs no fixed ports.
+// real-socket drivers relies on, and listen_tcp_in_range, the one rule
+// for control-port ranges. Listeners bind port 0 where they can; the
+// range tests take their ports from test_ports.h.
 #include "net/socket.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "test_ports.h"
 
 namespace fobs::net {
 namespace {
@@ -33,13 +36,6 @@ StreamPair stream_pair() {
   EXPECT_TRUE(set_nonblocking(pair.a.get()));
   EXPECT_TRUE(set_nonblocking(pair.b.get()));
   return pair;
-}
-
-std::uint16_t local_port(int fd) {
-  sockaddr_in addr{};
-  socklen_t len = sizeof addr;
-  EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  return ntohs(addr.sin_port);
 }
 
 /// A loopback port nothing listens on: bound (so no one else takes it)
@@ -149,6 +145,63 @@ TEST(Socket, ListenTcpFailsWhenThePortIsAlreadyBound) {
   ASSERT_TRUE(first.valid());
   const Fd second = listen_tcp(local_port(first.get()), 1);
   EXPECT_FALSE(second.valid());
+}
+
+// ---------------------------------------------------------------------------
+// listen_tcp_in_range
+// ---------------------------------------------------------------------------
+
+TEST(RangeBind, SkipsAPortAlreadyTakenInsideTheRange) {
+  const std::uint16_t base = test::port(0);
+  const Fd taken = listen_tcp(base, 1);
+  ASSERT_TRUE(taken.valid());
+  const Fd next = listen_tcp_in_range(base, 4, 1);
+  ASSERT_TRUE(next.valid());
+  EXPECT_EQ(local_port(next.get()), base + 1);
+}
+
+TEST(RangeBind, FailsWhenEveryPortOfTheRangeIsTaken) {
+  const std::uint16_t base = test::port(8);
+  std::vector<Fd> held;
+  for (int i = 0; i < 3; ++i) {
+    held.push_back(listen_tcp_in_range(base, 3, 1));
+    ASSERT_TRUE(held.back().valid());
+    EXPECT_EQ(local_port(held.back().get()), base + i);
+  }
+  EXPECT_FALSE(listen_tcp_in_range(base, 3, 1).valid());
+  // An empty range never binds.
+  EXPECT_FALSE(listen_tcp_in_range(test::port(12), 0, 1).valid());
+  // A closed listener's port is the next one handed out.
+  held[1].reset();
+  const Fd again = listen_tcp_in_range(base, 3, 1);
+  ASSERT_TRUE(again.valid());
+  EXPECT_EQ(local_port(again.get()), base + 1);
+}
+
+TEST(RangeBind, RangePastPortMaxIsClampedNotWrapped) {
+  // 65530 + 100 would wrap uint16_t arithmetic onto low ports; the
+  // range is clamped to 65530..65535 instead. Other programs may hold
+  // some of those, so only the bounds are exact.
+  std::vector<Fd> held;
+  for (int i = 0; i < 10; ++i) {
+    Fd fd = listen_tcp_in_range(65'530, 100, 1);
+    if (!fd.valid()) break;
+    EXPECT_GE(local_port(fd.get()), 65'530);
+    held.push_back(std::move(fd));
+  }
+  EXPECT_LE(held.size(), 6u);
+  EXPECT_FALSE(listen_tcp_in_range(65'530, 100, 1).valid());
+}
+
+TEST(RangeBind, BaseZeroReportsTheKernelsPort) {
+  const Fd listener = listen_tcp_in_range(0, 8, 1);
+  ASSERT_TRUE(listener.valid());
+  const std::uint16_t port = local_port(listener.get());
+  EXPECT_NE(port, 0);
+  const Fd client(::socket(AF_INET, SOCK_STREAM, 0));
+  const sockaddr_in addr = make_addr("127.0.0.1", port);
+  EXPECT_EQ(::connect(client.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  EXPECT_EQ(local_port(-1), 0);
 }
 
 }  // namespace

@@ -4,26 +4,23 @@
 //  - StripePlan: both layouts partition the packet space disjointly and
 //    completely, the shared round_robin_split rule, rejection edges.
 //  - FOBSSTRP codec: round-trips and garbage rejection.
-//  - PortAllocator: contiguous block leases, exhaustion, fragmentation,
-//    multi-threaded contention, and the engine's block API.
-//  - Checkpoints: object-level <-> per-stripe sidecar merge/split.
+//  - Checkpoints: object-level <-> per-stripe sidecar merge/split, and
+//    the one-scan removal of every sidecar.
 //  - Loopback transfers over real sockets: a 4-stripe >= 64 MiB
 //    transfer lands byte-identical (checksum-verified); killing one
 //    stripe's flow mid-transfer degrades but stays resumable, and the
 //    resume completes byte-identical; a striped fetch against a plain
 //    pre-striping sender falls back to one flow cleanly, and so does a
 //    striped sender with no control ports left.
-//
-// Port block: 37300-37499 (test_engine owns 37000-37099, fileserver
-// 37100-37199, fault suites 38xxx/39xxx).
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <mutex>
+#include <filesystem>
+#include <fstream>
 #include <numeric>
 #include <set>
 #include <span>
@@ -36,11 +33,12 @@
 #include "fobs/posix/checkpoint.h"
 #include "fobs/posix/engine.h"
 #include "fobs/posix/fileserver.h"
-#include "fobs/posix/port_allocator.h"
 #include "fobs/stripe/negotiate.h"
 #include "fobs/stripe/plan.h"
 #include "fobs/stripe/striped_transfer.h"
+#include "net/socket.h"
 #include "telemetry/metrics.h"
+#include "test_ports.h"
 
 namespace fobs {
 namespace {
@@ -223,107 +221,6 @@ TEST(StripeNegotiate, RejectsGarbage) {
 }
 
 // ---------------------------------------------------------------------------
-// PortAllocator block leases
-// ---------------------------------------------------------------------------
-
-TEST(PortAllocator, BlockLeaseIsContiguousAndFirstFit) {
-  posix::PortAllocator ports(40000, 16);
-  const auto a = ports.allocate_block(4);
-  ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(*a, 40000);
-  const auto b = ports.allocate_block(4);
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(*b, 40004);
-  EXPECT_EQ(ports.free_count(), 8u);
-  ports.release_block(*a, 4);
-  // First fit: the freed low block is reused.
-  const auto c = ports.allocate_block(3);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(*c, 40000);
-}
-
-TEST(PortAllocator, BlockExhaustionAndFragmentation) {
-  posix::PortAllocator ports(40100, 8);
-  const auto a = ports.allocate_block(8);
-  ASSERT_TRUE(a.has_value());
-  EXPECT_FALSE(ports.allocate_block(1).has_value());  // exhausted
-  // Free a single port in the middle: a 2-block cannot fit, a single
-  // allocation can.
-  ports.release(40103);
-  EXPECT_FALSE(ports.allocate_block(2).has_value());
-  const auto single = ports.allocate();
-  ASSERT_TRUE(single.has_value());
-  EXPECT_EQ(*single, 40103);
-  // Freeing two adjacent ports makes a 2-block fit again.
-  ports.release(40104);
-  ports.release(40105);
-  const auto pair = ports.allocate_block(2);
-  ASSERT_TRUE(pair.has_value());
-  EXPECT_EQ(*pair, 40104);
-  // Oversized and zero-sized requests never succeed.
-  EXPECT_FALSE(ports.allocate_block(9).has_value());
-  EXPECT_FALSE(ports.allocate_block(0).has_value());
-}
-
-TEST(PortAllocator, ConcurrentBlockLeasesNeverOverlap) {
-  posix::PortAllocator ports(41000, 64);
-  std::atomic<bool> overlap{false};
-  std::atomic<int> leases{0};
-  std::mutex mu;
-  std::set<std::uint16_t> in_use;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] {
-      const std::size_t want = 1 + static_cast<std::size_t>(t % 4);
-      for (int i = 0; i < 200; ++i) {
-        const auto first = ports.allocate_block(want);
-        if (!first) continue;
-        {
-          std::lock_guard lock(mu);
-          for (std::size_t j = 0; j < want; ++j) {
-            if (!in_use.insert(static_cast<std::uint16_t>(*first + j)).second) {
-              overlap.store(true);
-            }
-          }
-        }
-        leases.fetch_add(1);
-        {
-          std::lock_guard lock(mu);
-          for (std::size_t j = 0; j < want; ++j) {
-            in_use.erase(static_cast<std::uint16_t>(*first + j));
-          }
-        }
-        ports.release_block(*first, want);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_FALSE(overlap.load()) << "two threads held the same port at once";
-  EXPECT_GT(leases.load(), 0);
-  EXPECT_EQ(ports.free_count(), 64u);  // everything returned
-}
-
-TEST(PortAllocator, EngineExposesBlockLeases) {
-  posix::EngineOptions options;
-  options.workers = 1;
-  options.control_port_base = 37460;
-  options.control_port_count = 8;
-  posix::TransferEngine engine(options);
-  EXPECT_EQ(engine.control_port_capacity(), 8u);
-  const auto block = engine.allocate_control_port_block(4);
-  ASSERT_TRUE(block.has_value());
-  EXPECT_EQ(*block, 37460);
-  EXPECT_EQ(engine.free_control_ports(), 4u);
-  EXPECT_FALSE(engine.allocate_control_port_block(5).has_value());
-  // Block ports may be released individually (sessions own one each).
-  engine.release_control_port(static_cast<std::uint16_t>(*block + 1));
-  EXPECT_EQ(engine.free_control_ports(), 5u);
-  engine.release_control_port_block(*block, 4);  // re-release is ignored
-  EXPECT_EQ(engine.control_port_capacity(), 8u);
-  EXPECT_EQ(engine.free_control_ports(), 8u);
-}
-
-// ---------------------------------------------------------------------------
 // Striped checkpoints
 // ---------------------------------------------------------------------------
 
@@ -392,6 +289,32 @@ TEST(StripedCheckpoint, MergeIgnoresIncompatibleSidecars) {
   posix::remove_striped_checkpoints(base);
 }
 
+TEST(StripedCheckpoint, RemoveFindsEverySidecarAndNothingElse) {
+  const std::string dir = ::testing::TempDir() + "fobs_stripes_remove";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string base = dir + "/out.ckpt";
+  auto touch = [](const std::string& path) { std::ofstream(path) << "x"; };
+  // Sidecars of any stripe index go, including ones no fixed list of
+  // names would reach; look-alikes and unrelated files stay.
+  for (const char* doomed : {"", ".s0", ".s7", ".s63", ".s64", ".s100"}) touch(base + doomed);
+  const std::vector<std::string> kept = {base + ".sx",  base + ".s",    base + ".s7.tmp",
+                                         base + "x.s1", dir + "/out.bin", dir + "/other.ckpt.s1"};
+  for (const auto& path : kept) touch(path);
+  posix::remove_striped_checkpoints(base);
+  std::vector<std::string> left;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    left.push_back(entry.path().string());
+  }
+  std::sort(left.begin(), left.end());
+  auto expected = kept;
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(left, expected);
+  // A base whose directory does not exist is a no-op, not an error.
+  posix::remove_striped_checkpoints(dir + "/missing/out.ckpt");
+  std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // Loopback striped transfers (real sockets)
 // ---------------------------------------------------------------------------
@@ -425,7 +348,7 @@ TEST(StripedTransfer, FourStripes64MiBLandByteIdentical) {
 
   posix::EngineOptions sender_options;
   sender_options.workers = 4;
-  sender_options.control_port_base = 37320;
+  sender_options.control_port_base = test::port(0);
   sender_options.control_port_count = 8;
   posix::TransferEngine sender_engine(sender_options);
   posix::EngineOptions receiver_options;
@@ -433,11 +356,11 @@ TEST(StripedTransfer, FourStripes64MiBLandByteIdentical) {
   posix::TransferEngine receiver_engine(receiver_options);
 
   posix::StripedSenderOptions send;
-  send.negotiation_port = 37310;
+  send.negotiation_port = test::port(8);
   send.endpoint.packet_bytes = kPacketBytes;
   posix::StripedReceiverOptions recv;
-  recv.negotiation_port = 37310;
-  recv.data_port_base = 37312;
+  recv.negotiation_port = send.negotiation_port;
+  recv.data_port_base = test::port(9);
   recv.stripes = 4;
   recv.endpoint.packet_bytes = kPacketBytes;
 
@@ -464,7 +387,7 @@ TEST(StripedTransfer, RoundRobinLayoutLandsByteIdentical) {
 
   posix::EngineOptions sender_options;
   sender_options.workers = 3;
-  sender_options.control_port_base = 37340;
+  sender_options.control_port_base = test::port(16);
   sender_options.control_port_count = 8;
   posix::TransferEngine sender_engine(sender_options);
   posix::EngineOptions receiver_options;
@@ -472,11 +395,11 @@ TEST(StripedTransfer, RoundRobinLayoutLandsByteIdentical) {
   posix::TransferEngine receiver_engine(receiver_options);
 
   posix::StripedSenderOptions send;
-  send.negotiation_port = 37330;
+  send.negotiation_port = test::port(24);
   send.endpoint.packet_bytes = kPacketBytes;
   posix::StripedReceiverOptions recv;
-  recv.negotiation_port = 37330;
-  recv.data_port_base = 37332;
+  recv.negotiation_port = send.negotiation_port;
+  recv.data_port_base = test::port(25);
   recv.stripes = 3;
   recv.layout = StripeLayout::kRoundRobin;
   recv.endpoint.packet_bytes = kPacketBytes;
@@ -499,7 +422,7 @@ TEST(StripedTransfer, KilledStripeDegradesThenResumesByteIdentical) {
 
   posix::EngineOptions sender_options;
   sender_options.workers = 4;
-  sender_options.control_port_base = 37360;
+  sender_options.control_port_base = test::port(32);
   sender_options.control_port_count = 8;
   posix::EngineOptions receiver_options;
   receiver_options.workers = 4;
@@ -510,12 +433,12 @@ TEST(StripedTransfer, KilledStripeDegradesThenResumesByteIdentical) {
     posix::TransferEngine sender_engine(sender_options);
     posix::TransferEngine receiver_engine(receiver_options);
     posix::StripedSenderOptions send;
-    send.negotiation_port = 37350;
+    send.negotiation_port = test::port(40);
     send.endpoint.packet_bytes = kPacketBytes;
     send.endpoint.timeout_ms = 4'000;  // give up on the dead stripe fast
     posix::StripedReceiverOptions recv;
-    recv.negotiation_port = 37350;
-    recv.data_port_base = 37354;
+    recv.negotiation_port = send.negotiation_port;
+    recv.data_port_base = test::port(41);
     recv.stripes = 4;
     recv.checkpoint_base = checkpoint_base;
     recv.endpoint.packet_bytes = kPacketBytes;
@@ -545,11 +468,11 @@ TEST(StripedTransfer, KilledStripeDegradesThenResumesByteIdentical) {
     posix::TransferEngine sender_engine(sender_options);
     posix::TransferEngine receiver_engine(receiver_options);
     posix::StripedSenderOptions send;
-    send.negotiation_port = 37350;
+    send.negotiation_port = test::port(40);
     send.endpoint.packet_bytes = kPacketBytes;
     posix::StripedReceiverOptions recv;
-    recv.negotiation_port = 37350;
-    recv.data_port_base = 37354;
+    recv.negotiation_port = send.negotiation_port;
+    recv.data_port_base = test::port(41);
     recv.stripes = 4;
     recv.checkpoint_base = checkpoint_base;
     recv.endpoint.packet_bytes = kPacketBytes;
@@ -579,8 +502,8 @@ TEST(StripedTransfer, FallsBackToOneFlowAgainstPlainSender) {
   sender_options.workers = 1;
   posix::TransferEngine sender_engine(sender_options);
   posix::SenderOptions plain;
-  plain.data_port = 37390;
-  plain.control_port = 37391;
+  plain.data_port = test::port(48);
+  plain.control_port = test::port(49);
   plain.endpoint.packet_bytes = kPacketBytes;
   auto handle = sender_engine.submit_send(plain, object.view());
 
@@ -588,8 +511,8 @@ TEST(StripedTransfer, FallsBackToOneFlowAgainstPlainSender) {
   receiver_options.workers = 1;
   posix::TransferEngine receiver_engine(receiver_options);
   posix::StripedReceiverOptions recv;
-  recv.negotiation_port = 37391;  // the plain sender's control port
-  recv.data_port_base = 37390;
+  recv.negotiation_port = plain.control_port;
+  recv.data_port_base = plain.data_port;
   recv.stripes = 4;
   recv.endpoint.packet_bytes = kPacketBytes;
   const auto result = receiver_engine.run_striped_receiver(recv, buffer);
@@ -607,25 +530,27 @@ TEST(StripedTransfer, SenderOutOfControlPortsServesOneFlowOnTheNegotiationPort) 
   auto object = core::TransferObject::pattern(kObjectBytes, 0x0F0F);
   std::vector<std::uint8_t> buffer(static_cast<std::size_t>(kObjectBytes), 0);
 
-  // The sender's allocator holds one control port, already leased: no
-  // stripe block fits, so the sender refuses striping and both sides
-  // degrade to one plain flow on the negotiation port.
+  // The sender's control range holds one port, and something already
+  // listens there: no stripe listener binds, so the sender refuses
+  // striping and both sides degrade to one plain flow on the
+  // negotiation port.
   posix::EngineOptions sender_options;
   sender_options.workers = 1;
-  sender_options.control_port_base = 37494;
+  sender_options.control_port_base = test::port(56);
   sender_options.control_port_count = 1;
   posix::TransferEngine sender_engine(sender_options);
-  ASSERT_TRUE(sender_engine.allocate_control_port().has_value());
+  const net::Fd taken = net::listen_tcp(sender_options.control_port_base, 1);
+  ASSERT_TRUE(taken.valid());
   posix::EngineOptions receiver_options;
   receiver_options.workers = 1;
   posix::TransferEngine receiver_engine(receiver_options);
 
   posix::StripedSenderOptions send;
-  send.negotiation_port = 37490;
+  send.negotiation_port = test::port(57);
   send.endpoint.packet_bytes = kPacketBytes;
   posix::StripedReceiverOptions recv;
-  recv.negotiation_port = 37490;
-  recv.data_port_base = 37491;
+  recv.negotiation_port = send.negotiation_port;
+  recv.data_port_base = test::port(58);
   recv.stripes = 2;
   recv.endpoint.packet_bytes = kPacketBytes;
 
@@ -656,7 +581,6 @@ TEST(StripedTransfer, StripedFetchThroughFileServerIsByteIdentical) {
 
   posix::FileServerOptions server_options;
   server_options.dir = dir;
-  server_options.catalog_port = 37400;  // control ports 37401..37432
   server_options.max_stripes = 8;
   server_options.quiet = true;
   server_options.endpoint.timeout_ms = 30'000;
@@ -664,10 +588,10 @@ TEST(StripedTransfer, StripedFetchThroughFileServerIsByteIdentical) {
   ASSERT_TRUE(server.start());
 
   posix::FetchOptions fetch;
-  fetch.catalog_port = server_options.catalog_port;
+  fetch.catalog_port = server.options().catalog_port;
   fetch.name = "dataset.bin";
   fetch.out_path = dir + "/fetched.bin";
-  fetch.data_port = 37440;
+  fetch.data_port = test::port(64);
   fetch.stripes = 4;
   fetch.quiet = true;
   fetch.endpoint.timeout_ms = 30'000;
@@ -681,12 +605,11 @@ TEST(StripedTransfer, StripedFetchThroughFileServerIsByteIdentical) {
   // one flow and still verifies.
   server.stop();
   server_options.max_stripes = 1;
-  server_options.catalog_port = 37470;
   posix::FileServer plain_server(server_options);
   ASSERT_TRUE(plain_server.start());
-  fetch.catalog_port = server_options.catalog_port;
+  fetch.catalog_port = plain_server.options().catalog_port;
   fetch.out_path = dir + "/fetched_plain.bin";
-  fetch.data_port = 37480;
+  fetch.data_port = test::port(72);
   const auto fallback = posix::fetch_file(fetch);
   ASSERT_TRUE(fallback.completed()) << fallback.error;
   EXPECT_TRUE(fallback.fallback_single_flow);

@@ -21,6 +21,7 @@
 #include "fobs/sim_transfer.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
+#include "test_ports.h"
 
 namespace fobs::telemetry {
 namespace {
@@ -386,8 +387,8 @@ TEST(TraceSchema, PosixTransferEmitsValidJsonl) {
   EventTracer receiver_trace;
 
   posix::ReceiverOptions recv_opts;
-  recv_opts.data_port = 36050;
-  recv_opts.control_port = 36051;
+  recv_opts.data_port = test::port(0);
+  recv_opts.control_port = test::port(1);
   recv_opts.endpoint.timeout_ms = 30'000;
   recv_opts.endpoint.tracer = &receiver_trace;
 
