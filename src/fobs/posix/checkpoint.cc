@@ -1,9 +1,13 @@
 #include "fobs/posix/checkpoint.h"
 
+#include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
+#include "common/bitmap.h"
 #include "common/byte_order.h"
 #include "common/crc32.h"
 
@@ -17,6 +21,25 @@ constexpr std::size_t kHeaderSize = 8 + 8 + 8 + 8 + 8;  // magic + 3 counts + bi
 
 using util::get_u64;
 using util::put_u64;
+
+/// Calls `visit` with the path of `base` and of every `<base>.s<digits>`
+/// in base's directory, in one scan; a missing directory visits nothing.
+template <typename Visit>
+void for_each_checkpoint_file(const std::string& base, Visit visit) {
+  const std::filesystem::path path(base);
+  const std::string name = path.filename().string();
+  const std::string sidecar = name + ".s";
+  std::error_code ec;
+  const std::filesystem::path dir = path.has_parent_path() ? path.parent_path() : ".";
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string found = entry.path().filename().string();
+    const bool is_sidecar =
+        found.size() > sidecar.size() && found.compare(0, sidecar.size(), sidecar) == 0 &&
+        std::all_of(found.begin() + static_cast<std::ptrdiff_t>(sidecar.size()), found.end(),
+                    [](unsigned char c) { return std::isdigit(c) != 0; });
+    if (found == name || is_sidecar) visit(entry.path());
+  }
+}
 
 }  // namespace
 
@@ -88,6 +111,35 @@ std::optional<Checkpoint> load_checkpoint(const std::string& path) {
   return checkpoint;
 }
 
-void remove_checkpoint(const std::string& path) { std::remove(path.c_str()); }
+std::string checkpoint_file(const std::string& base, int stripes, int index) {
+  return stripes > 1 ? base + ".s" + std::to_string(index) : base;
+}
+
+std::optional<Checkpoint> load_checkpoints(const std::string& base, std::int64_t object_bytes,
+                                           std::int64_t packet_bytes) {
+  Checkpoint known;
+  known.object_bytes = object_bytes;
+  known.packet_bytes = packet_bytes;
+  const auto packets = static_cast<std::size_t>(known.packet_count());
+  fobs::util::Bitmap bits(packets);
+  bool any = false;
+  for_each_checkpoint_file(base, [&](const std::filesystem::path& path) {
+    const auto file = load_checkpoint(path.string());
+    if (!file || file->object_bytes != object_bytes || file->packet_bytes != packet_bytes) return;
+    bits.merge_range(0, packets, file->bitmap.data(), file->bitmap.size());
+    any = true;
+  });
+  if (!any) return std::nullopt;
+  known.received_count = static_cast<std::int64_t>(bits.count());
+  known.bitmap = bits.extract_range(0, packets);
+  return known;
+}
+
+void remove_striped_checkpoints(const std::string& base) {
+  for_each_checkpoint_file(base, [](const std::filesystem::path& path) {
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+  });
+}
 
 }  // namespace fobs::posix

@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "fobs/object.h"
+#include "fobs/posix/checkpoint.h"
 #include "fobs/stripe/striped_transfer.h"
 #include "net/socket.h"
 #include "telemetry/metrics.h"
@@ -227,6 +228,10 @@ FetchResult fetch_file(const FetchOptions& options) {
   if (options.catalog_port == 0 || options.data_port == 0 || options.name.empty() ||
       options.out_path.empty()) {
     result.error = "invalid options: catalog_port, data_port, name, out_path are required";
+    return result;
+  }
+  if (!net::make_addr(options.host, options.catalog_port)) {
+    result.error = "invalid options: host must be an IPv4 address";
     return result;
   }
 

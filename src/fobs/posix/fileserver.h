@@ -106,7 +106,7 @@ class FileServer {
 };
 
 struct FetchOptions {
-  std::string host = "127.0.0.1";
+  std::string host = "127.0.0.1";  ///< server address, an IPv4 literal
   std::uint16_t catalog_port = 0;  ///< server's catalog port (required)
   std::string name;                ///< file name in the server's directory
   std::string out_path;            ///< local destination path

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/bitmap.h"
 #include "common/byte_order.h"
 #include "common/log.h"
 #include "fobs/posix/checkpoint.h"
@@ -98,27 +99,33 @@ bool cancel_requested(const std::atomic<bool>* cancel) {
   return cancel != nullptr && cancel->load(std::memory_order_relaxed);
 }
 
-/// Validates a striped session's StripeRef against the full-object span
-/// and swaps `spec` for the stripe-local geometry. The drivers then run
-/// completely unchanged in local sequence space; only payload offsets
-/// go through the plan. False (with `error` set) on any mismatch — a
-/// wrong plan silently corrupting offsets is the failure mode guarded
-/// against here.
-bool resolve_stripe(const stripe::StripeRef& ref, std::int64_t span_bytes,
-                    fobs::core::TransferSpec& spec, std::string& error) {
-  if (!ref.active()) return true;
-  const auto& plan = *ref.plan;
-  if (ref.index < 0 || ref.index >= plan.stripe_count()) {
+/// The stripe this session runs: `ref` validated against the geometry
+/// of the whole object, or stripe 0 of the 1-stripe contiguous plan
+/// when `ref` is null. The drivers run in the stripe-local sequence
+/// space of plan.stripe_spec(index); payload offsets and checkpoint
+/// bits go through the plan. Inactive (with `error` set) on any
+/// mismatch — a wrong plan silently corrupting offsets is the failure
+/// mode guarded against here.
+stripe::StripeRef resolve_stripe(const stripe::StripeRef& ref,
+                                 const fobs::core::TransferSpec& whole, std::string& error) {
+  if (!ref.active()) {
+    stripe::StripePlan plan;
+    if (!stripe::StripePlan::make(whole, 1, stripe::StripeLayout::kContiguous, &plan, &error)) {
+      error = "invalid options: " + error;
+      return {};
+    }
+    return {std::make_shared<const stripe::StripePlan>(std::move(plan)), 0};
+  }
+  if (ref.index < 0 || ref.index >= ref.plan->stripe_count()) {
     error = "invalid options: stripe index outside the plan";
-    return false;
+    return {};
   }
-  if (plan.spec().object_bytes != span_bytes ||
-      plan.spec().packet_bytes != spec.packet_bytes) {
+  if (ref.plan->spec().object_bytes != whole.object_bytes ||
+      ref.plan->spec().packet_bytes != whole.packet_bytes) {
     error = "invalid options: stripe plan does not match this transfer's geometry";
-    return false;
+    return {};
   }
-  spec = plan.stripe_spec(ref.index);
-  return true;
+  return ref;
 }
 
 /// Resolves the fault plan for one endpoint: the options field wins,
@@ -248,6 +255,11 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
     result.error = "invalid options: data_port and control_port must be non-zero";
     return result;
   }
+  const auto peer = net::make_addr(options.receiver_host, options.data_port);
+  if (!peer) {
+    result.error = "invalid options: host must be an IPv4 address";
+    return result;
+  }
   if (options.endpoint.packet_bytes <= 0) {
     result.error = "invalid options: packet_bytes must be positive";
     return result;
@@ -260,13 +272,14 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
     result.error = "invalid options: cannot send an empty object";
     return result;
   }
-  fobs::core::TransferSpec spec{static_cast<std::int64_t>(object.size()),
-                                options.endpoint.packet_bytes};
-  if (!resolve_stripe(options.stripe, spec.object_bytes, spec, result.error)) return result;
-  // Striped sessions: sequence numbers below are stripe-local; only the
-  // payload offset into the (whole-object) span goes through the plan.
-  const stripe::StripePlan* stripe_plan = options.stripe.plan.get();
-  const int stripe_index = options.stripe.index;
+  const auto stripe = resolve_stripe(
+      options.stripe, {static_cast<std::int64_t>(object.size()), options.endpoint.packet_bytes},
+      result.error);
+  if (!stripe.active()) return result;
+  // Sequence numbers below are stripe-local; only the payload offset
+  // into the (whole-object) span goes through the plan.
+  const stripe::StripePlan& plan = *stripe.plan;
+  const fobs::core::TransferSpec spec = plan.stripe_spec(stripe.index);
   result.packets_needed = spec.packet_count();
 
   std::optional<fobs::net::FaultInjector> faults;
@@ -284,7 +297,6 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
     result.error = io_error;
     return result;
   }
-  const sockaddr_in peer = net::make_addr(options.receiver_host, options.data_port);
 
   // The control channel (completion + resume frames) is accepted on a
   // listener the engine bound before the session was queued.
@@ -457,9 +469,7 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
       const auto seq = core.select_next();
       if (!seq) break;
       const std::int64_t len = spec.payload_bytes(*seq);
-      const std::uint8_t* payload =
-          object.data() + (stripe_plan != nullptr ? stripe_plan->global_offset(stripe_index, *seq)
-                                                  : spec.offset_of(*seq));
+      const std::uint8_t* payload = object.data() + plan.global_offset(stripe.index, *seq);
       auto& header_buf = headers[static_cast<std::size_t>(selected)];
       encode_data_header(DataHeader{*seq, payload_crc(payload, static_cast<std::size_t>(len))},
                          header_buf.data());
@@ -488,7 +498,7 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
       }
       ++selected;
     }
-    if (!views.empty() && !channel.send_batch(views, peer, &io_error)) {
+    if (!views.empty() && !channel.send_batch(views, *peer, &io_error)) {
       result.status = TransferStatus::kSocketError;
       result.error = io_error;
       break;
@@ -560,6 +570,10 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
     result.error = "invalid options: data_port and control_port must be non-zero";
     return result;
   }
+  if (!net::make_addr(options.sender_host, options.control_port)) {
+    result.error = "invalid options: host must be an IPv4 address";
+    return result;
+  }
   if (options.endpoint.packet_bytes <= 0) {
     result.error = "invalid options: packet_bytes must be positive";
     return result;
@@ -572,11 +586,12 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
     result.error = "invalid options: cannot receive into an empty buffer";
     return result;
   }
-  fobs::core::TransferSpec spec{static_cast<std::int64_t>(buffer.size()),
-                                options.endpoint.packet_bytes};
-  if (!resolve_stripe(options.stripe, spec.object_bytes, spec, result.error)) return result;
-  const stripe::StripePlan* stripe_plan = options.stripe.plan.get();
-  const int stripe_index = options.stripe.index;
+  const fobs::core::TransferSpec whole{static_cast<std::int64_t>(buffer.size()),
+                                       options.endpoint.packet_bytes};
+  const auto stripe = resolve_stripe(options.stripe, whole, result.error);
+  if (!stripe.active()) return result;
+  const stripe::StripePlan& plan = *stripe.plan;
+  const fobs::core::TransferSpec spec = plan.stripe_spec(stripe.index);
 
   std::optional<fobs::net::FaultInjector> faults;
   if (!resolve_fault_plan(options.endpoint.fault_plan, faults, result.error)) return result;
@@ -605,25 +620,41 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
   core.set_tracer(tracer);
   result.status = TransferStatus::kRunning;
 
-  // Resume: pre-seed the bitmap from a compatible checkpoint. The data
-  // bytes themselves must already be in `buffer` (the caller persisted
-  // the partial object, e.g. via a file-backed buffer).
-  if (!options.checkpoint_path.empty()) {
-    if (const auto checkpoint = load_checkpoint(options.checkpoint_path)) {
-      if (checkpoint->object_bytes == spec.object_bytes &&
-          checkpoint->packet_bytes == spec.packet_bytes) {
-        const auto restored = core.restore(checkpoint->bitmap.data(),
-                                           checkpoint->bitmap.size(), spec.packet_count());
-        if (restored >= 0) {
-          result.packets_restored = restored;
-          metrics.counter("fobs.fault.resumes").inc();
-        }
-      } else {
-        FOBS_WARN("fobs.receiver", "checkpoint at " << options.checkpoint_path
-                                                    << " does not match this transfer; ignoring");
+  // Resume: pre-seed the bitmap with this stripe's packets from the
+  // union of the base's checkpoint files. The data bytes themselves
+  // must already be in `buffer` (the caller persisted the partial
+  // object, e.g. via a file-backed buffer). `record` is what this
+  // session checkpoints: everything the union held — other stripes'
+  // packets included, so rewriting a file another plan's stripe wrote
+  // loses none of them — plus every packet received.
+  const std::string& base = options.checkpoint_path;
+  const std::string record_path =
+      base.empty() ? "" : checkpoint_file(base, plan.stripe_count(), stripe.index);
+  const auto whole_packets = static_cast<std::size_t>(whole.packet_count());
+  fobs::util::Bitmap record;
+  if (!base.empty()) {
+    record = fobs::util::Bitmap(whole_packets);
+    if (const auto known = load_checkpoints(base, whole.object_bytes, whole.packet_bytes)) {
+      record.merge_range(0, whole_packets, known->bitmap.data(), known->bitmap.size());
+      const auto local_packets = static_cast<std::size_t>(spec.packet_count());
+      fobs::util::Bitmap mine(local_packets);
+      for (std::size_t j = 0; j < local_packets; ++j) {
+        const auto global = plan.to_global(stripe.index, static_cast<fobs::core::PacketSeq>(j));
+        if (record.test(static_cast<std::size_t>(global))) mine.set(j);
       }
+      const auto packed = mine.extract_range(0, local_packets);
+      result.packets_restored = core.restore(packed.data(), packed.size(), spec.packet_count());
+      if (result.packets_restored > 0) metrics.counter("fobs.fault.resumes").inc();
     }
   }
+  auto save_record = [&] {
+    Checkpoint checkpoint;
+    checkpoint.object_bytes = whole.object_bytes;
+    checkpoint.packet_bytes = whole.packet_bytes;
+    checkpoint.received_count = static_cast<std::int64_t>(record.count());
+    checkpoint.bitmap = record.extract_range(0, whole_packets);
+    save_checkpoint(record_path, checkpoint);
+  };
 
   // Incarnation epoch: stamps every ACK and is announced on each
   // control connection, so the sender can tell this incarnation's ACKs
@@ -760,10 +791,10 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
 
       const auto outcome = core.on_data_packet(header->seq);
       if (outcome.newly_received) {
-        const std::int64_t at = stripe_plan != nullptr
-                                    ? stripe_plan->global_offset(stripe_index, header->seq)
-                                    : spec.offset_of(header->seq);
-        std::memcpy(buffer.data() + at, data + kDataHeaderSize, static_cast<std::size_t>(len));
+        const auto global = plan.to_global(stripe.index, header->seq);
+        std::memcpy(buffer.data() + whole.offset_of(global), data + kDataHeaderSize,
+                    static_cast<std::size_t>(len));
+        if (!record.empty()) record.set(static_cast<std::size_t>(global));
       }
       if (outcome.ack_due && sender_known) {
         auto msg = core.make_ack();
@@ -797,16 +828,10 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
                          static_cast<std::int64_t>(msg.ack_no),
                          static_cast<std::int64_t>(ack.size()));
         }
-        if (!options.checkpoint_path.empty() &&
+        if (!base.empty() &&
             ++acks_since_checkpoint >= std::max(1, options.checkpoint_every_acks)) {
           acks_since_checkpoint = 0;
-          Checkpoint checkpoint;
-          checkpoint.object_bytes = spec.object_bytes;
-          checkpoint.packet_bytes = spec.packet_bytes;
-          checkpoint.received_count = static_cast<std::int64_t>(core.received().count());
-          checkpoint.bitmap = core.received().extract_range(
-              0, static_cast<std::size_t>(spec.packet_count()));
-          save_checkpoint(options.checkpoint_path, checkpoint);
+          save_record();
         }
       }
     }
@@ -843,7 +868,16 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
     }
     result.status = TransferStatus::kCompleted;
     result.error.clear();
-    if (!options.checkpoint_path.empty()) remove_checkpoint(options.checkpoint_path);
+    // One stripe: the transfer is done, so no file of the base is worth
+    // keeping. A stripe of K > 1 leaves its final record until the
+    // launch step sees every stripe complete.
+    if (!base.empty()) {
+      if (plan.stripe_count() == 1) {
+        remove_striped_checkpoints(base);
+      } else {
+        save_record();
+      }
+    }
   }
   const double elapsed = std::chrono::duration<double>(Clock::now() - start).count();
   result.elapsed_seconds = elapsed;

@@ -46,10 +46,11 @@ struct SenderOptions {
   /// `endpoint.io.send_buffer_bytes`).
   EndpointOptions endpoint;
   /// When active, this session carries one stripe of a striped
-  /// transfer: sequence numbers (and ACKs, bitmaps, checkpoints) are
+  /// transfer: sequence numbers (and ACKs and bitmaps) are
   /// stripe-local, while `object` must still span the *whole* object —
   /// payload bytes are gathered at plan-computed global offsets. Both
-  /// peers must agree on the plan (see fobs/stripe/negotiate.h).
+  /// peers must agree on the plan (see fobs/stripe/negotiate.h). When
+  /// null, the session runs the 1-stripe plan over the whole object.
   stripe::StripeRef stripe;
 };
 
@@ -90,16 +91,18 @@ struct ReceiverOptions {
   std::uint16_t data_port = 0;     ///< local UDP port to bind (required)
   std::uint16_t control_port = 0;  ///< sender's TCP port (required)
   fobs::core::ReceiverConfig core;
-  /// When non-empty, the receiver's bitmap is persisted here every
-  /// `checkpoint_every_acks` acknowledgements, an existing compatible
-  /// checkpoint is loaded on start (the caller must supply the same
+  /// When non-empty, the checkpoint base (fobs/posix/checkpoint.h):
+  /// the receiver's bitmap is persisted to its file of the base every
+  /// `checkpoint_every_acks` acknowledgements, the union of the base's
+  /// files is loaded on start (the caller must supply the same
   /// partially-filled buffer the previous incarnation wrote into —
   /// typically a TransferObject::map_file_rw mapping, which keeps the
   /// bytes on disk even across a hard crash; restoring a checkpoint
   /// over a buffer that lacks those bytes silently corrupts the
-  /// object), and the file is removed after a completed transfer. A restarted
-  /// receiver announces its restored bitmap to the sender over the
-  /// control channel so already-received packets are not re-sent.
+  /// object), and every file of the base is removed after a completed
+  /// unstriped transfer. A restarted receiver announces its restored
+  /// bitmap to the sender over the control channel so already-received
+  /// packets are not re-sent.
   std::string checkpoint_path;
   int checkpoint_every_acks = 16;
   /// Knobs shared with the send side. SO_RCVBUF — the buffer whose
@@ -108,9 +111,10 @@ struct ReceiverOptions {
   EndpointOptions endpoint;
   /// When active, this session receives one stripe into its plan-
   /// computed disjoint offsets of the whole-object `buffer` (which all
-  /// stripes share — zero merge copies). checkpoint_path then persists
-  /// the stripe-local bitmap; see fobs/stripe/striped_transfer.h for
-  /// the merge into an object-level checkpoint.
+  /// stripes share — zero merge copies). In a plan of K > 1 stripes it
+  /// checkpoints at `<checkpoint_path>.s<index>` and, once complete,
+  /// leaves its final record there for the launch step to remove. When
+  /// null, the session runs the 1-stripe plan over the whole object.
   stripe::StripeRef stripe;
 };
 

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cctype>
 #include <condition_variable>
-#include <filesystem>
 #include <mutex>
 
-#include "common/bitmap.h"
 #include "common/byte_order.h"
+#include "fobs/posix/checkpoint.h"
 #include "net/socket.h"
 #include "telemetry/metrics.h"
 
@@ -153,111 +151,6 @@ struct SendAggregation {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Checkpoint merge / split
-// ---------------------------------------------------------------------------
-
-std::string stripe_checkpoint_path(const std::string& base, int index) {
-  return base + ".s" + std::to_string(index);
-}
-
-std::optional<Checkpoint> merge_striped_checkpoint(const std::string& base,
-                                                   const stripe::StripePlan& plan) {
-  const auto& spec = plan.spec();
-  const auto packets = static_cast<std::size_t>(spec.packet_count());
-  fobs::util::Bitmap global(packets);
-  bool any = false;
-  if (const auto object_level = load_checkpoint(base)) {
-    if (object_level->object_bytes == spec.object_bytes &&
-        object_level->packet_bytes == spec.packet_bytes) {
-      global.merge_range(0, packets, object_level->bitmap.data(), object_level->bitmap.size());
-      any = true;
-    }
-  }
-  for (int s = 0; s < plan.stripe_count(); ++s) {
-    const auto sidecar = load_checkpoint(stripe_checkpoint_path(base, s));
-    if (!sidecar) continue;
-    const auto local_spec = plan.stripe_spec(s);
-    if (sidecar->object_bytes != local_spec.object_bytes ||
-        sidecar->packet_bytes != local_spec.packet_bytes) {
-      continue;  // from a different plan: unusable, not an error
-    }
-    const auto local_packets = static_cast<std::size_t>(plan.stripe_packets(s));
-    fobs::util::Bitmap local(local_packets);
-    local.merge_range(0, local_packets, sidecar->bitmap.data(), sidecar->bitmap.size());
-    for (std::size_t j = 0; j < local_packets; ++j) {
-      if (local.test(j)) {
-        global.set(static_cast<std::size_t>(
-            plan.to_global(s, static_cast<fobs::core::PacketSeq>(j))));
-      }
-    }
-    any = true;
-  }
-  if (!any || global.none_set()) return std::nullopt;
-  Checkpoint merged;
-  merged.object_bytes = spec.object_bytes;
-  merged.packet_bytes = spec.packet_bytes;
-  merged.received_count = static_cast<std::int64_t>(global.count());
-  merged.bitmap = global.extract_range(0, packets);
-  if (!save_checkpoint(base, merged)) return std::nullopt;
-  return merged;
-}
-
-bool split_striped_checkpoint(const std::string& base, const stripe::StripePlan& plan) {
-  const auto& spec = plan.spec();
-  const auto object_level = load_checkpoint(base);
-  if (!object_level || object_level->object_bytes != spec.object_bytes ||
-      object_level->packet_bytes != spec.packet_bytes) {
-    return false;
-  }
-  const auto packets = static_cast<std::size_t>(spec.packet_count());
-  fobs::util::Bitmap global(packets);
-  global.merge_range(0, packets, object_level->bitmap.data(), object_level->bitmap.size());
-  for (int s = 0; s < plan.stripe_count(); ++s) {
-    const auto path = stripe_checkpoint_path(base, s);
-    const auto local_spec = plan.stripe_spec(s);
-    const auto local_packets = static_cast<std::size_t>(plan.stripe_packets(s));
-    fobs::util::Bitmap local(local_packets);
-    if (const auto existing = load_checkpoint(path)) {
-      if (existing->object_bytes == local_spec.object_bytes &&
-          existing->packet_bytes == local_spec.packet_bytes) {
-        local.merge_range(0, local_packets, existing->bitmap.data(), existing->bitmap.size());
-      }
-    }
-    for (std::size_t j = 0; j < local_packets; ++j) {
-      if (global.test(static_cast<std::size_t>(
-              plan.to_global(s, static_cast<fobs::core::PacketSeq>(j))))) {
-        local.set(j);
-      }
-    }
-    if (local.none_set()) continue;
-    Checkpoint sidecar;
-    sidecar.object_bytes = local_spec.object_bytes;
-    sidecar.packet_bytes = local_spec.packet_bytes;
-    sidecar.received_count = static_cast<std::int64_t>(local.count());
-    sidecar.bitmap = local.extract_range(0, local_packets);
-    save_checkpoint(path, sidecar);
-  }
-  remove_checkpoint(base);
-  return true;
-}
-
-void remove_striped_checkpoints(const std::string& base) {
-  const std::filesystem::path path(base);
-  const std::string name = path.filename().string();
-  const std::string sidecar = name + ".s";
-  std::error_code ec;
-  const std::filesystem::path dir = path.has_parent_path() ? path.parent_path() : ".";
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string found = entry.path().filename().string();
-    const bool is_sidecar =
-        found.size() > sidecar.size() && found.compare(0, sidecar.size(), sidecar) == 0 &&
-        std::all_of(found.begin() + static_cast<std::ptrdiff_t>(sidecar.size()), found.end(),
-                    [](unsigned char c) { return std::isdigit(c) != 0; });
-    if (found == name || is_sidecar) std::filesystem::remove(entry.path(), ec);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Negotiation: settles a StripeLaunch (runs only when K > 1 was asked for)
 // ---------------------------------------------------------------------------
 
@@ -390,6 +283,8 @@ std::optional<StripeLaunch> negotiate_receive(const StripedReceiverOptions& opti
   const char* invalid = nullptr;
   if (options.negotiation_port == 0 || options.data_port_base == 0) {
     invalid = "negotiation_port and data_port_base must be non-zero";
+  } else if (!net::make_addr(options.sender_host, options.negotiation_port)) {
+    invalid = "host must be an IPv4 address";
   } else if (requested < 1) {
     invalid = "stripes must be >= 1, with a non-empty buffer and a positive packet size";
   } else if (options.data_port_base + requested - 1 > 0xFFFF) {
@@ -440,15 +335,6 @@ std::optional<StripeLaunch> negotiate_receive(const StripedReceiverOptions& opti
   metrics.counter("fobs.stripe.negotiation_rejected").inc();
   if (!options.allow_single_flow_fallback) return fail(TransferStatus::kPeerLost, refusal);
   metrics.counter("fobs.stripe.fallbacks").inc();
-  // The 1-stripe plan resumes from the object-level checkpoint; fold in
-  // any sidecars a hard-killed striped attempt with the requested plan
-  // left behind (a degraded one already merged them).
-  if (!options.checkpoint_base.empty()) {
-    stripe::StripePlan prior;
-    if (stripe::StripePlan::make(spec, requested, options.layout, &prior)) {
-      merge_striped_checkpoint(options.checkpoint_base, prior);
-    }
-  }
   return StripeLaunch{.layout = options.layout,
                       .data_ports = {options.data_port_base},
                       .control_ports = {options.negotiation_port},
@@ -458,7 +344,7 @@ std::optional<StripeLaunch> negotiate_receive(const StripedReceiverOptions& opti
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Launch: K sessions, one aggregate, the checkpoint passes
+// Launch: K sessions, one aggregate
 // ---------------------------------------------------------------------------
 
 bool TransferEngine::launch_striped_send(const StripedSenderOptions& options,
@@ -516,12 +402,6 @@ StripedResult TransferEngine::launch_striped_receive(const StripedReceiverOption
   result.stripes = stripes;
   result.layout = plan->layout();
   result.fallback_single_flow = launch.fallback_single_flow;
-  const std::string& base = options.checkpoint_base;
-  // K > 1: a previous attempt with another stripe count (or a merge
-  // after a degraded one) may have left an object-level checkpoint;
-  // split it into per-stripe sidecars so every session resumes its own
-  // slice. A 1-stripe plan checkpoints at `base` itself.
-  if (!base.empty() && stripes > 1) split_striped_checkpoint(base, *plan);
 
   std::vector<TransferHandle> handles;
   handles.reserve(static_cast<std::size_t>(stripes));
@@ -531,10 +411,8 @@ StripedResult TransferEngine::launch_striped_receive(const StripedReceiverOption
     session.data_port = launch.data_ports[static_cast<std::size_t>(i)];
     session.control_port = launch.control_ports[static_cast<std::size_t>(i)];
     session.core = options.core;
+    session.checkpoint_path = options.checkpoint_base;
     session.checkpoint_every_acks = options.checkpoint_every_acks;
-    if (!base.empty()) {
-      session.checkpoint_path = stripes > 1 ? stripe_checkpoint_path(base, i) : base;
-    }
     session.endpoint = stripe_endpoint(options.endpoint, options.stripe_fault_plans, i);
     session.stripe = {plan, i};
     handles.push_back(submit_receive(session, buffer));
@@ -550,30 +428,15 @@ StripedResult TransferEngine::launch_striped_receive(const StripedReceiverOption
     telemetry::MetricsRegistry::global().counter("fobs.stripe.resumes").inc();
   }
 
-  // Checkpoint post-pass. A completed transfer removes every checkpoint
-  // file, whatever stripe count earlier attempts ran with. After a
-  // failure, completed stripes (which removed their sidecars) get them
-  // back as full bitmaps, and everything is merged into the
-  // object-level file, so a retry with any stripe count resumes (the
-  // sidecars stay for a retry with this plan).
-  if (!base.empty()) {
-    if (result.completed()) {
-      remove_striped_checkpoints(base);
-    } else {
-      for (int i = 0; i < stripes; ++i) {
-        if (!result.stripe_receivers[static_cast<std::size_t>(i)].completed()) continue;
-        const auto local_packets = static_cast<std::size_t>(plan->stripe_packets(i));
-        fobs::util::Bitmap full(local_packets);
-        full.set_all();
-        Checkpoint sidecar;
-        sidecar.object_bytes = plan->stripe_bytes(i);
-        sidecar.packet_bytes = plan->spec().packet_bytes;
-        sidecar.received_count = static_cast<std::int64_t>(local_packets);
-        sidecar.bitmap = full.extract_range(0, local_packets);
-        save_checkpoint(stripe_checkpoint_path(base, i), sidecar);
-      }
-      result.resumable = merge_striped_checkpoint(base, *plan).has_value();
-    }
+  // Every session keeps its own file of the base (fobs/posix/checkpoint.h);
+  // a 1-stripe session removes them all itself when it completes.
+  const std::string& base = options.checkpoint_base;
+  if (base.empty()) return result;
+  if (result.completed()) {
+    if (stripes > 1) remove_striped_checkpoints(base);
+  } else if (const auto known = load_checkpoints(base, plan->spec().object_bytes,
+                                                 plan->spec().packet_bytes)) {
+    result.resumable = known->received_count > 0;
   }
   return result;
 }

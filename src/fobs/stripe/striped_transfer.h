@@ -26,33 +26,28 @@
 //   * Launch. A settled plan plus one (data port, control port) pair
 //     per stripe (StripeLaunch) starts one ordinary FOBS session per
 //     stripe in stripe-local sequence space — greedy UDP, selective-ACK
-//     bitmap, TCP completion token — aggregates them into one
-//     StripedResult and runs the checkpoint post-pass. A 1-stripe plan
-//     whose ports a plain catalog exchange already fixed goes straight
-//     here: its wire bytes are exactly those of a plain transfer.
+//     bitmap, TCP completion token — and aggregates them into one
+//     StripedResult. A 1-stripe plan whose ports a plain catalog
+//     exchange already fixed goes straight here: its wire bytes are
+//     exactly those of a plain transfer.
 //
-// Checkpointing: a 1-stripe plan's local sequence space is the global
-// one, so it checkpoints at `<base>` itself, like any plain transfer.
-// With K > 1 each stripe persists its local bitmap to `<base>.s<i>`.
-// merge_striped_checkpoint folds those into one object-level
-// checkpoint at `<base>`; split_striped_checkpoint does the inverse so
-// a striped attempt can resume from an object-level checkpoint. The
-// launch step splits on start and — after a partial failure — rewrites
-// completed stripes' sidecars and the merged object-level file, so a
-// degraded transfer is resumable by a retry with any stripe count. A
-// completed transfer removes `<base>` and every sidecar, whatever
-// stripe count the earlier attempts ran with.
+// Checkpointing: every file describes the whole object (see
+// fobs/posix/checkpoint.h). A 1-stripe session writes `<base>`, stripe
+// i of a K > 1 plan writes `<base>.s<i>`, and every session resumes its
+// own packets from the union of all files of the base, so a retry with
+// any stripe count or layout resumes what any earlier attempt stored.
+// The launch step's only checkpoint work is removing every file of the
+// base once all K > 1 stripes complete; a 1-stripe session does that
+// itself.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "fobs/posix/checkpoint.h"
 #include "fobs/posix/engine.h"
 #include "fobs/stripe/negotiate.h"
 #include "fobs/stripe/plan.h"
@@ -97,9 +92,9 @@ struct StripedReceiverOptions {
   stripe::StripeLayout layout = stripe::StripeLayout::kContiguous;
   fobs::core::ReceiverConfig core;
   /// When non-empty, the transfer checkpoints here: a 1-stripe plan at
-  /// `<base>` itself, K > 1 per stripe at `<base>.s<i>` (see
-  /// merge/split below). Pair it with a file-backed buffer exactly as
-  /// for single-flow checkpoints.
+  /// `<base>` itself, K > 1 per stripe at `<base>.s<i>`, each file over
+  /// the whole object. Pair it with a file-backed buffer exactly as for
+  /// single-flow checkpoints.
   std::string checkpoint_base;
   int checkpoint_every_acks = 16;
   /// Fall back to the 1-stripe plan when the peer rejects (or
@@ -124,8 +119,9 @@ struct StripedResult {
   int stripes = 0;
   stripe::StripeLayout layout = stripe::StripeLayout::kContiguous;
   int stripes_completed = 0;
-  /// Failed, but per-stripe checkpoints were (re)written so a retry —
-  /// striped or single-flow — resumes instead of restarting.
+  /// Failed, and the checkpoint base's files record at least one
+  /// packet, so a retry with any stripe count resumes instead of
+  /// restarting.
   bool resumable = false;
   double elapsed_seconds = 0.0;  ///< slowest stripe (wall clock)
   /// Whole-object goodput over the slowest stripe's elapsed time.
@@ -138,8 +134,8 @@ struct StripedResult {
   fobs::net::IoStats io;  ///< summed over stripes
 
   [[nodiscard]] bool completed() const { return status == TransferStatus::kCompleted; }
-  /// Some stripes delivered, some failed — the degraded-but-resumable
-  /// state the checkpoint post-pass targets.
+  /// Some stripes delivered, some failed — with a checkpoint base,
+  /// the completed stripes' records make a retry resume.
   [[nodiscard]] bool degraded() const { return !completed() && stripes_completed > 0; }
 };
 
@@ -171,24 +167,5 @@ struct StripedSessionParams {
   /// Runs on the final stripe's worker once the aggregate is known.
   std::function<void(const StripedResult&)> on_complete;
 };
-
-/// `<base>.s<index>` — where stripe `index` checkpoints its bitmap.
-[[nodiscard]] std::string stripe_checkpoint_path(const std::string& base, int index);
-
-/// Folds every per-stripe sidecar of `plan` (and a matching object-
-/// level checkpoint already at `base`, if any) into one object-level
-/// checkpoint written atomically to `base`. Returns it, or nullopt when
-/// no compatible bits were found.
-std::optional<Checkpoint> merge_striped_checkpoint(const std::string& base,
-                                                   const stripe::StripePlan& plan);
-
-/// Splits an object-level checkpoint at `base` into per-stripe sidecars
-/// (OR-ing into any that already exist) and removes `base`. False when
-/// no compatible object-level checkpoint was present.
-bool split_striped_checkpoint(const std::string& base, const stripe::StripePlan& plan);
-
-/// Removes `base` and every `<base>.s<digits>` sidecar beside it, found
-/// by one scan of base's directory; other files are left alone.
-void remove_striped_checkpoints(const std::string& base);
 
 }  // namespace fobs::posix

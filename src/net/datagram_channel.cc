@@ -131,7 +131,7 @@ DatagramChannel DatagramChannel::open(const IoOptions& io, std::size_t max_datag
     ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &buf, sizeof buf);
   }
   if (bind_port) {
-    const sockaddr_in addr = make_addr("0.0.0.0", *bind_port);
+    const sockaddr_in addr = *make_addr("0.0.0.0", *bind_port);
     if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
       set_error(error, "udp bind failed");
       ::close(fd);

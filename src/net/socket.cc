@@ -37,11 +37,11 @@ void Fd::reset() {
   fd_ = -1;
 }
 
-sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
+std::optional<sockaddr_in> make_addr(const std::string& host, std::uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, host.c_str(), &addr.sin_addr);
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) return std::nullopt;
   return addr;
 }
 
@@ -55,7 +55,7 @@ Fd listen_tcp(std::uint16_t port, int backlog) {
   if (!fd.valid()) return {};
   const int one = 1;
   ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  const sockaddr_in addr = make_addr("0.0.0.0", port);
+  const sockaddr_in addr = *make_addr("0.0.0.0", port);
   if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
       ::listen(fd.get(), backlog) != 0 || !set_nonblocking(fd.get())) {
     return {};
@@ -102,12 +102,13 @@ Fd connect_with_backoff(const std::string& host, std::uint16_t port,
                         SocketClock::time_point deadline, const std::atomic<bool>* cancel) {
   auto backoff = std::chrono::milliseconds(5);
   constexpr auto kMaxBackoff = std::chrono::milliseconds(200);
-  const sockaddr_in addr = make_addr(host, port);
+  const auto addr = make_addr(host, port);
+  if (!addr) return {};
   while (SocketClock::now() < deadline &&
          (cancel == nullptr || !cancel->load(std::memory_order_relaxed))) {
     Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
     if (!fd.valid()) return {};
-    if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0) {
+    if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&*addr), sizeof *addr) == 0) {
       set_nonblocking(fd.get());
       return fd;
     }

@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace fobs::net {
@@ -45,8 +46,9 @@ class Fd {
   int fd_ = -1;
 };
 
-/// IPv4 socket address for a dotted-quad `host` and `port`.
-[[nodiscard]] sockaddr_in make_addr(const std::string& host, std::uint16_t port);
+/// IPv4 socket address for a dotted-quad `host` and `port`; nullopt
+/// when `host` is not an IPv4 literal (names are not resolved).
+[[nodiscard]] std::optional<sockaddr_in> make_addr(const std::string& host, std::uint16_t port);
 
 bool set_nonblocking(int fd);
 
@@ -75,7 +77,8 @@ bool set_nonblocking(int fd);
 
 /// Connects to host:port, retrying with capped exponential backoff
 /// until `deadline` or until `cancel` (optional) is set. The connection
-/// comes back non-blocking. Invalid Fd on failure.
+/// comes back non-blocking. Invalid Fd on failure, at once when `host`
+/// is not an IPv4 literal.
 [[nodiscard]] Fd connect_with_backoff(const std::string& host, std::uint16_t port,
                                       SocketClock::time_point deadline,
                                       const std::atomic<bool>* cancel = nullptr);

@@ -242,7 +242,7 @@ TEST(EngineLifecycle, DestructorCancelsLiveSessions) {
 /// One connect() attempt to 127.0.0.1:`port`, no retry.
 bool connects_at_once(std::uint16_t port) {
   net::Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
-  const sockaddr_in addr = net::make_addr("127.0.0.1", port);
+  const sockaddr_in addr = *net::make_addr("127.0.0.1", port);
   return fd.valid() &&
          ::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0;
 }

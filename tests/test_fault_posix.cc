@@ -10,14 +10,18 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/bitmap.h"
 #include "common/rng.h"
 #include "fobs/posix/checkpoint.h"
 #include "fobs/posix/codec.h"
@@ -81,6 +85,37 @@ TEST(FaultPosixValidation, ReceiverRejectsBadOptions) {
   result = posix::receive_object(empty_buffer, {});
   EXPECT_FALSE(result.completed());
   EXPECT_NE(result.error.find("empty buffer"), std::string::npos) << result.error;
+}
+
+// A host that is not an IPv4 literal is refused before any socket: it
+// must neither send to nor wait on "this machine" (0.0.0.0) until the
+// deadline.
+TEST(FaultPosixValidation, SenderRejectsUnparseableHostBeforeAnySocket) {
+  const std::vector<std::uint8_t> object(1024, 0xAA);
+  posix::SenderOptions options;
+  options.receiver_host = "no-such-host.invalid";
+  options.data_port = test::port(6);
+  options.control_port = test::port(7);
+  options.endpoint.timeout_ms = 10'000;
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = posix::send_object(options, object);
+  EXPECT_EQ(result.status, posix::TransferStatus::kBadOptions);
+  EXPECT_NE(result.error.find("IPv4"), std::string::npos) << result.error;
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+}
+
+TEST(FaultPosixValidation, ReceiverRejectsUnparseableHostBeforeAnySocket) {
+  std::vector<std::uint8_t> sink(1024, 0);
+  posix::ReceiverOptions options;
+  options.sender_host = "no-such-host.invalid";
+  options.data_port = test::port(6);
+  options.control_port = test::port(7);
+  options.endpoint.timeout_ms = 10'000;
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = posix::receive_object(options, sink);
+  EXPECT_EQ(result.status, posix::TransferStatus::kBadOptions);
+  EXPECT_NE(result.error.find("IPv4"), std::string::npos) << result.error;
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
 }
 
 TEST(FaultPosixValidation, MalformedFaultPlanIsReportedNotIgnored) {
@@ -250,13 +285,15 @@ TEST(FaultPosixGarbage, CorruptedDataPacketsAreRejectedAndResent) {
 /// difference is whether the sidecar survives to the restart (`resume`)
 /// or is wiped first (a true from-scratch restart), so the packet-count
 /// comparison isolates exactly what the resume handshake saves.
+/// `left_behind` (optional) gets the checkpoint the crash left.
 TransferPair run_crash_restart(int port_offset, bool resume,
                                std::span<const std::uint8_t> object,
                                std::span<std::uint8_t> sink,
-                               posix::ReceiverResult* first_incarnation = nullptr) {
+                               posix::ReceiverResult* first_incarnation = nullptr,
+                               std::optional<posix::Checkpoint>* left_behind = nullptr) {
   const std::string checkpoint_path =
       ::testing::TempDir() + "fobs_resume_" + std::to_string(port_offset) + ".ckpt";
-  posix::remove_checkpoint(checkpoint_path);
+  posix::remove_striped_checkpoints(checkpoint_path);
 
   posix::ReceiverOptions recv_opts;
   recv_opts.data_port = test::port(port_offset);
@@ -280,13 +317,18 @@ TransferPair run_crash_restart(int port_offset, bool resume,
     crash_opts.endpoint.fault_plan = "crash=3500";
     const auto crashed = posix::receive_object(crash_opts, sink);
     if (first_incarnation != nullptr) *first_incarnation = crashed;
-    if (!resume) posix::remove_checkpoint(checkpoint_path);
+    if (left_behind != nullptr) {
+      *left_behind = posix::load_checkpoint(checkpoint_path);
+      // An unstriped session keeps one file, `<base>` itself.
+      EXPECT_FALSE(std::filesystem::exists(checkpoint_path + ".s0"));
+    }
+    if (!resume) posix::remove_striped_checkpoints(checkpoint_path);
     // Incarnation 2: restart into the same buffer.
     out.receiver = posix::receive_object(recv_opts, sink);
   });
   out.sender = posix::send_object(send_opts, object);
   receiver_thread.join();
-  posix::remove_checkpoint(checkpoint_path);
+  posix::remove_striped_checkpoints(checkpoint_path);
   return out;
 }
 
@@ -296,8 +338,9 @@ TEST(FaultPosixResume, RestartedReceiverResumesFromCheckpoint) {
   std::vector<std::uint8_t> scratch_sink(object.size(), 0);
 
   posix::ReceiverResult crashed;
+  std::optional<posix::Checkpoint> left_behind;
   const auto resumed =
-      run_crash_restart(20, /*resume=*/true, object, resumed_sink, &crashed);
+      run_crash_restart(20, /*resume=*/true, object, resumed_sink, &crashed, &left_behind);
   EXPECT_EQ(crashed.status, posix::TransferStatus::kCrashed);
   EXPECT_EQ(crashed.error, "injected crash");
   ASSERT_TRUE(resumed.receiver.completed()) << resumed.receiver.error;
@@ -306,6 +349,9 @@ TEST(FaultPosixResume, RestartedReceiverResumesFromCheckpoint) {
   // The second incarnation really started from the sidecar, and the
   // sender saw the restart as a control-channel reconnect.
   EXPECT_GT(resumed.receiver.packets_restored, 0);
+  ASSERT_TRUE(left_behind.has_value());
+  EXPECT_EQ(left_behind->object_bytes, static_cast<std::int64_t>(object.size()));
+  EXPECT_EQ(resumed.receiver.packets_restored, left_behind->received_count);
   EXPECT_GE(resumed.sender.reconnects, 1);
   // The resume handshake, not ACK timing, told the sender what the
   // restarted receiver already holds: it learned at least one packet
@@ -324,7 +370,7 @@ TEST(FaultPosixResume, RestartedReceiverResumesFromCheckpoint) {
 
 TEST(FaultPosixResume, CheckpointIsRemovedAfterCompletion) {
   const std::string checkpoint_path = ::testing::TempDir() + "fobs_resume_cleanup.ckpt";
-  posix::remove_checkpoint(checkpoint_path);
+  posix::remove_striped_checkpoints(checkpoint_path);
   const auto object = core::make_pattern(128 * 1024, 0xFACE);
   std::vector<std::uint8_t> sink(object.size(), 0);
 
@@ -346,6 +392,52 @@ TEST(FaultPosixResume, CheckpointIsRemovedAfterCompletion) {
   EXPECT_EQ(sink, object);
   // A completed transfer leaves no sidecar behind.
   EXPECT_FALSE(posix::load_checkpoint(checkpoint_path).has_value());
+}
+
+TEST(FaultPosixResume, UnstripedRestartResumesFromAStripeSidecar) {
+  // A striped attempt left `<base>.s1`, an object-level record of the
+  // first half of the packets. An unstriped session on the same base
+  // restores exactly those, completes byte-identical, and then removes
+  // every file of the base, the sidecar included.
+  const std::string base = ::testing::TempDir() + "fobs_resume_sidecar.ckpt";
+  posix::remove_striped_checkpoints(base);
+  constexpr std::int64_t kPacketBytes = 1024;
+  const auto object = core::make_pattern(128 * 1024 + 100, 0x51DE);
+  const auto packets = static_cast<std::size_t>(
+      (static_cast<std::int64_t>(object.size()) + kPacketBytes - 1) / kPacketBytes);
+  const std::size_t stored = packets / 2;
+  util::Bitmap bits(packets);
+  for (std::size_t g = 0; g < stored; ++g) bits.set(g);
+  posix::Checkpoint sidecar;
+  sidecar.object_bytes = static_cast<std::int64_t>(object.size());
+  sidecar.packet_bytes = kPacketBytes;
+  sidecar.received_count = static_cast<std::int64_t>(stored);
+  sidecar.bitmap = bits.extract_range(0, packets);
+  ASSERT_TRUE(posix::save_checkpoint(base + ".s1", sidecar));
+  // The buffer holds what that attempt stored, and nothing else.
+  std::vector<std::uint8_t> sink(object.size(), 0);
+  const auto stored_bytes = static_cast<std::ptrdiff_t>(stored) * kPacketBytes;
+  std::copy(object.begin(), object.begin() + stored_bytes, sink.begin());
+
+  posix::ReceiverOptions recv_opts;
+  recv_opts.data_port = test::port(30);
+  recv_opts.control_port = test::port(31);
+  recv_opts.endpoint.timeout_ms = 30'000;
+  recv_opts.endpoint.packet_bytes = kPacketBytes;
+  recv_opts.checkpoint_path = base;
+  posix::SenderOptions send_opts;
+  send_opts.data_port = recv_opts.data_port;
+  send_opts.control_port = recv_opts.control_port;
+  send_opts.endpoint.timeout_ms = 30'000;
+  send_opts.endpoint.packet_bytes = kPacketBytes;
+
+  const auto pair = run_pair(send_opts, recv_opts, object, sink);
+  ASSERT_TRUE(pair.receiver.completed()) << pair.receiver.error;
+  EXPECT_EQ(pair.receiver.packets_restored, static_cast<std::int64_t>(stored));
+  EXPECT_EQ(sink, object);
+  EXPECT_FALSE(std::filesystem::exists(base));
+  EXPECT_FALSE(std::filesystem::exists(base + ".s1"));
+  posix::remove_striped_checkpoints(base);
 }
 
 }  // namespace

@@ -355,9 +355,9 @@ class CheckpointTest : public ::testing::Test {
     // parallel test processes.
     path_ = ::testing::TempDir() + "fobs_checkpoint_test_" + std::to_string(::getpid()) + "_" +
             ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".ckpt";
-    posix::remove_checkpoint(path_);
+    std::remove(path_.c_str());
   }
-  void TearDown() override { posix::remove_checkpoint(path_); }
+  void TearDown() override { std::remove(path_.c_str()); }
 
   std::string path_;
 };
@@ -420,6 +420,50 @@ TEST_F(CheckpointTest, RejectsTornOrTamperedFile) {
   EXPECT_FALSE(posix::load_checkpoint(path_).has_value());
 }
 
+TEST_F(CheckpointTest, FileIsTheFOBSCKP1Layout) {
+  // The on-disk format resumes files written by earlier releases, so
+  // its bytes are pinned: magic, four big-endian u64 (object bytes,
+  // packet bytes, received count, bitmap length), the packed bitmap,
+  // and a big-endian CRC32 of everything after the magic.
+  posix::Checkpoint checkpoint;
+  checkpoint.object_bytes = 3000;  // 3 packets of 1024
+  checkpoint.packet_bytes = 1024;
+  checkpoint.received_count = 2;
+  checkpoint.bitmap = {0x05};
+  ASSERT_TRUE(posix::save_checkpoint(path_, checkpoint));
+  std::ifstream in(path_, std::ios::binary);
+  const std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                        std::istreambuf_iterator<char>());
+  const std::vector<std::uint8_t> expected = {
+      'F',  'O',  'B',  'S',  'C',  'K',  'P',  '1',      // magic
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0B, 0xB8,     // object_bytes
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00,     // packet_bytes
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02,     // received_count
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,     // bitmap length
+      0x05,                                               // bitmap
+      0xAD, 0xED, 0xD7, 0xA7};                            // CRC32
+  EXPECT_EQ(bytes, expected);
+}
+
+TEST_F(CheckpointTest, SaveLeavesNoTemporaryFileBehind) {
+  // The write goes through `<path>.tmp` and a rename; a successful save
+  // leaves only the checkpoint itself, and overwriting keeps the latest.
+  posix::Checkpoint checkpoint;
+  checkpoint.object_bytes = 2048;
+  checkpoint.packet_bytes = 1024;
+  checkpoint.received_count = 1;
+  checkpoint.bitmap = {0x01};
+  ASSERT_TRUE(posix::save_checkpoint(path_, checkpoint));
+  checkpoint.received_count = 2;
+  checkpoint.bitmap = {0x03};
+  ASSERT_TRUE(posix::save_checkpoint(path_, checkpoint));
+  EXPECT_FALSE(std::ifstream(path_ + ".tmp").good());
+  const auto loaded = posix::load_checkpoint(path_);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->received_count, 2);
+  EXPECT_EQ(loaded->bitmap, checkpoint.bitmap);
+}
+
 TEST_F(CheckpointTest, RemoveDeletesTheFile) {
   posix::Checkpoint checkpoint;
   checkpoint.object_bytes = 1024;
@@ -427,7 +471,7 @@ TEST_F(CheckpointTest, RemoveDeletesTheFile) {
   checkpoint.received_count = 1;
   checkpoint.bitmap = {0x01};
   ASSERT_TRUE(posix::save_checkpoint(path_, checkpoint));
-  posix::remove_checkpoint(path_);
+  posix::remove_striped_checkpoints(path_);
   EXPECT_FALSE(posix::load_checkpoint(path_).has_value());
 }
 

@@ -278,6 +278,38 @@ TEST(FileServer, FetchAgainstARefusedPortFailsWithinItsTimeout) {
   EXPECT_LT(elapsed, std::chrono::seconds(1));
 }
 
+TEST(FileServer, UnparseableHostFailsFastInsteadOfFetchingFromThisMachine) {
+  // A host name is not an IPv4 literal: the fetch must refuse it before
+  // any connect, not read it as 0.0.0.0 (this machine) and quietly
+  // fetch from the local server.
+  const std::string dir = ::testing::TempDir() + "fobs_fileserver_badhost";
+  stage_files(dir, {64 * 1024});
+  posix::FileServerOptions options;
+  options.dir = dir;
+  options.quiet = true;
+  posix::FileServer server(options);
+  ASSERT_TRUE(server.start());
+
+  posix::FetchOptions fetch;
+  fetch.host = "no-such-host.invalid";
+  fetch.catalog_port = server.options().catalog_port;
+  fetch.name = "dataset0.bin";
+  fetch.out_path = dir + "/fetched.bin";
+  fetch.data_port = test::port(36);
+  fetch.quiet = true;
+  fetch.endpoint.timeout_ms = 5'000;
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = posix::fetch_file(fetch);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(result.status, posix::TransferStatus::kBadOptions) << result.error;
+  EXPECT_NE(result.error.find("IPv4"), std::string::npos) << result.error;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(500));
+  EXPECT_FALSE(std::filesystem::exists(fetch.out_path));
+  EXPECT_EQ(server.requests_handled(), 0u);
+  server.stop();
+  std::filesystem::remove_all(dir);
+}
+
 TEST(FileServer, StartRejectsInvalidOptions) {
   posix::FileServerOptions no_dir_options;
   posix::FileServer no_dir(no_dir_options);
@@ -406,7 +438,7 @@ TEST(FileServer, FetchResumesFromPartialFileWithOneOrTwoStripes) {
     EXPECT_TRUE(checkpoint_files(out).empty());
   }
   {
-    SCOPED_TRACE("K=2 splits the object-level checkpoint over its stripes");
+    SCOPED_TRACE("K=2 stripes each restore their packets from the object-level checkpoint");
     const std::string out = dir + "/two.bin";
     stage_partial_fetch(original, out, true, true);
     const auto result = fetch_to(out, test::port(12), 2);  // and the port after it
@@ -432,8 +464,9 @@ TEST(FileServer, FetchResumesFromPartialFileWithOneOrTwoStripes) {
     SCOPED_TRACE("a plain fetch after a degraded 2-stripe attempt removes its sidecars");
     const std::string out = dir + "/leftover.bin";
     stage_partial_fetch(original, out, true, true);
-    // What the degraded attempt's post-pass leaves besides the merged
-    // `.ckpt`: stripe 0's sidecar, in stripe-local geometry.
+    // What a degraded 2-stripe attempt of an older release left besides
+    // the merged `.ckpt`: stripe 0's sidecar, in stripe-local geometry,
+    // which the union of the base's files skips.
     stripe::StripePlan plan;
     ASSERT_TRUE(stripe::StripePlan::make({kResumeBytes, kResumePacket}, 2,
                                          stripe::StripeLayout::kContiguous, &plan));

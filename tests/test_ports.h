@@ -52,7 +52,7 @@ inline std::uint16_t claim_block() {
   for (std::size_t i = 0; i < starts.size(); ++i) {
     const int start = starts[(first + i) % starts.size()];
     net::Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
-    const sockaddr_in addr = net::make_addr("0.0.0.0", static_cast<std::uint16_t>(start));
+    const sockaddr_in addr = *net::make_addr("0.0.0.0", static_cast<std::uint16_t>(start));
     if (fd.valid() &&
         ::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0 &&
         ::listen(fd.get(), 1) == 0) {

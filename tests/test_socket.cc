@@ -42,7 +42,7 @@ StreamPair stream_pair() {
 /// but never put into listen state, so connects are refused.
 Fd refused_port(std::uint16_t& port) {
   Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
-  const sockaddr_in addr = make_addr("127.0.0.1", 0);
+  const sockaddr_in addr = *make_addr("127.0.0.1", 0);
   EXPECT_EQ(::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
   port = local_port(fd.get());
   return fd;
@@ -199,9 +199,23 @@ TEST(RangeBind, BaseZeroReportsTheKernelsPort) {
   const std::uint16_t port = local_port(listener.get());
   EXPECT_NE(port, 0);
   const Fd client(::socket(AF_INET, SOCK_STREAM, 0));
-  const sockaddr_in addr = make_addr("127.0.0.1", port);
+  const sockaddr_in addr = *make_addr("127.0.0.1", port);
   EXPECT_EQ(::connect(client.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
   EXPECT_EQ(local_port(-1), 0);
+}
+
+TEST(MakeAddr, RejectsAnythingButAnIPv4Literal) {
+  const auto addr = make_addr("127.0.0.1", 7);
+  ASSERT_TRUE(addr.has_value());
+  EXPECT_EQ(ntohs(addr->sin_port), 7);
+  for (const char* host : {"no-such-host.invalid", "localhost", "", "::1", "127.0.0.256"}) {
+    EXPECT_FALSE(make_addr(host, 7).has_value()) << host;
+  }
+  // connect_with_backoff gives up at once instead of retrying a host it
+  // cannot parse until the deadline.
+  const auto start = SocketClock::now();
+  EXPECT_FALSE(connect_with_backoff("no-such-host.invalid", 7, start + milliseconds(2'000)).valid());
+  EXPECT_LT(SocketClock::now() - start, milliseconds(500));
 }
 
 }  // namespace

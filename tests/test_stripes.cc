@@ -4,20 +4,25 @@
 //  - StripePlan: both layouts partition the packet space disjointly and
 //    completely, the shared round_robin_split rule, rejection edges.
 //  - FOBSSTRP codec: round-trips and garbage rejection.
-//  - Checkpoints: object-level <-> per-stripe sidecar merge/split, and
-//    the one-scan removal of every sidecar.
+//  - Checkpoints: the union of a base's files from any plan, files that
+//    do not belong to it or are torn skipped, and the one-scan removal
+//    of every sidecar.
 //  - Loopback transfers over real sockets: a 4-stripe >= 64 MiB
 //    transfer lands byte-identical (checksum-verified); killing one
-//    stripe's flow mid-transfer degrades but stays resumable, and the
-//    resume completes byte-identical; a striped fetch against a plain
+//    stripe's flow mid-transfer degrades but stays resumable, and
+//    retries with 4, 1 or 2 stripes (and 3 -> 2) resume every stored
+//    packet and complete byte-identical; a striped fetch against a plain
 //    pre-striping sender falls back to one flow cleanly, and so does a
-//    striped sender with no control ports left.
+//    striped sender with no control ports left; a host that is not an
+//    IPv4 literal is refused before negotiating.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -224,69 +229,109 @@ TEST(StripeNegotiate, RejectsGarbage) {
 // Striped checkpoints
 // ---------------------------------------------------------------------------
 
-TEST(StripedCheckpoint, SplitThenMergeRoundTripsTheBitmap) {
-  const std::string base = ::testing::TempDir() + "fobs_stripes_roundtrip.ckpt";
-  posix::remove_striped_checkpoints(base);
-  const TransferSpec spec{64 * 1024 + 321, 4096};
-  StripePlan plan;
-  ASSERT_TRUE(StripePlan::make(spec, 4, StripeLayout::kRoundRobin, &plan));
+/// A checkpoint of `spec`'s whole object marking `globals`.
+posix::Checkpoint object_checkpoint(const TransferSpec& spec,
+                                    const std::vector<std::int64_t>& globals) {
   const auto packets = static_cast<std::size_t>(spec.packet_count());
-
-  // Object-level checkpoint with every third packet received.
-  util::Bitmap original(packets);
-  for (std::size_t i = 0; i < packets; i += 3) original.set(i);
-  posix::Checkpoint object_level;
-  object_level.object_bytes = spec.object_bytes;
-  object_level.packet_bytes = spec.packet_bytes;
-  object_level.received_count = static_cast<std::int64_t>(original.count());
-  object_level.bitmap = original.extract_range(0, packets);
-  ASSERT_TRUE(posix::save_checkpoint(base, object_level));
-
-  // Split: base is consumed, per-stripe sidecars appear in stripe-local
-  // geometry.
-  ASSERT_TRUE(posix::split_striped_checkpoint(base, plan));
-  EXPECT_FALSE(posix::load_checkpoint(base).has_value());
-  std::int64_t sidecar_bits = 0;
-  for (int s = 0; s < plan.stripe_count(); ++s) {
-    const auto sidecar = posix::load_checkpoint(posix::stripe_checkpoint_path(base, s));
-    if (!sidecar) continue;
-    EXPECT_EQ(sidecar->object_bytes, plan.stripe_bytes(s));
-    EXPECT_EQ(sidecar->packet_bytes, spec.packet_bytes);
-    sidecar_bits += sidecar->received_count;
-  }
-  EXPECT_EQ(sidecar_bits, static_cast<std::int64_t>(original.count()));
-
-  // Merge: the object-level bitmap is recomposed exactly.
-  const auto merged = posix::merge_striped_checkpoint(base, plan);
-  ASSERT_TRUE(merged.has_value());
-  EXPECT_EQ(merged->object_bytes, spec.object_bytes);
-  EXPECT_EQ(merged->received_count, static_cast<std::int64_t>(original.count()));
-  util::Bitmap recomposed(packets);
-  recomposed.merge_range(0, packets, merged->bitmap.data(), merged->bitmap.size());
-  for (std::size_t i = 0; i < packets; ++i) {
-    EXPECT_EQ(recomposed.test(i), original.test(i)) << "bit " << i;
-  }
-  posix::remove_striped_checkpoints(base);
+  util::Bitmap bits(packets);
+  for (const auto g : globals) bits.set(static_cast<std::size_t>(g));
+  posix::Checkpoint checkpoint;
+  checkpoint.object_bytes = spec.object_bytes;
+  checkpoint.packet_bytes = spec.packet_bytes;
+  checkpoint.received_count = static_cast<std::int64_t>(bits.count());
+  checkpoint.bitmap = bits.extract_range(0, packets);
+  return checkpoint;
 }
 
-TEST(StripedCheckpoint, MergeIgnoresIncompatibleSidecars) {
-  const std::string base = ::testing::TempDir() + "fobs_stripes_incompat.ckpt";
+/// Global packets `load_checkpoints` reads for `spec` at `base`.
+std::set<std::int64_t> loaded_globals(const std::string& base, const TransferSpec& spec) {
+  std::set<std::int64_t> globals;
+  const auto known = posix::load_checkpoints(base, spec.object_bytes, spec.packet_bytes);
+  if (!known) return globals;
+  const auto packets = static_cast<std::size_t>(spec.packet_count());
+  util::Bitmap bits(packets);
+  bits.merge_range(0, packets, known->bitmap.data(), known->bitmap.size());
+  for (std::size_t g = 0; g < packets; ++g) {
+    if (bits.test(g)) globals.insert(static_cast<std::int64_t>(g));
+  }
+  EXPECT_EQ(known->received_count, static_cast<std::int64_t>(globals.size()));
+  return globals;
+}
+
+TEST(StripedCheckpoint, UnionOfFilesFromAnyPlanIsOneObjectBitmap) {
+  const std::string base = ::testing::TempDir() + "fobs_stripes_union.ckpt";
+  posix::remove_striped_checkpoints(base);
+  const TransferSpec spec{64 * 1024 + 321, 4096};  // 17 packets
+  EXPECT_EQ(posix::checkpoint_file(base, 1, 0), base);
+  EXPECT_EQ(posix::checkpoint_file(base, 3, 2), base + ".s2");
+
+  // What three attempts leave: K = 1 at `<base>`, stripe 1 of a K = 3
+  // contiguous plan at `.s1`, stripe 0 of a K = 2 round-robin plan at
+  // `.s0`. Every file is in object geometry over global packets.
+  StripePlan three;
+  ASSERT_TRUE(StripePlan::make(spec, 3, StripeLayout::kContiguous, &three));
+  StripePlan two_rr;
+  ASSERT_TRUE(StripePlan::make(spec, 2, StripeLayout::kRoundRobin, &two_rr));
+  const std::vector<std::int64_t> single = {0, 1, 2};
+  const std::vector<std::int64_t> middle = {three.to_global(1, 0), three.to_global(1, 4)};
+  const std::vector<std::int64_t> evens = {two_rr.to_global(0, 1), two_rr.to_global(0, 7),
+                                           two_rr.to_global(0, 8)};
+  ASSERT_TRUE(posix::save_checkpoint(posix::checkpoint_file(base, 1, 0),
+                                     object_checkpoint(spec, single)));
+  ASSERT_TRUE(posix::save_checkpoint(posix::checkpoint_file(base, 3, 1),
+                                     object_checkpoint(spec, middle)));
+  ASSERT_TRUE(posix::save_checkpoint(posix::checkpoint_file(base, 2, 0),
+                                     object_checkpoint(spec, evens)));
+
+  std::set<std::int64_t> expected(single.begin(), single.end());
+  expected.insert(middle.begin(), middle.end());
+  expected.insert(evens.begin(), evens.end());
+  EXPECT_EQ(loaded_globals(base, spec), expected);
+  // Another geometry of the same base reads nothing.
+  EXPECT_FALSE(posix::load_checkpoints(base, spec.object_bytes, 1024).has_value());
+  posix::remove_striped_checkpoints(base);
+  EXPECT_FALSE(posix::load_checkpoints(base, spec.object_bytes, spec.packet_bytes).has_value());
+}
+
+TEST(StripedCheckpoint, UnionIgnoresMismatchedAndStripeLocalFiles) {
+  const std::string base = ::testing::TempDir() + "fobs_stripes_mismatch.ckpt";
   posix::remove_striped_checkpoints(base);
   const TransferSpec spec{16 * 1024, 1024};
   StripePlan plan;
   ASSERT_TRUE(StripePlan::make(spec, 2, StripeLayout::kContiguous, &plan));
-  // A sidecar from a different plan (wrong stripe geometry) is skipped
-  // rather than corrupting the merge.
-  posix::Checkpoint foreign;
-  foreign.object_bytes = 999;
-  foreign.packet_bytes = 128;
-  util::Bitmap bits(8);
-  bits.set_all();
-  foreign.received_count = 8;
-  foreign.bitmap = bits.extract_range(0, 8);
-  ASSERT_TRUE(posix::save_checkpoint(posix::stripe_checkpoint_path(base, 0), foreign));
-  EXPECT_FALSE(posix::merge_striped_checkpoint(base, plan).has_value());
+  // A file of another object, and a sidecar in stripe-local geometry
+  // (what older releases wrote): stripe_bytes < object_bytes, so it
+  // can never pass for an object-level record.
+  ASSERT_TRUE(posix::save_checkpoint(base + ".s0", object_checkpoint({999, 128}, {0, 1, 2})));
+  ASSERT_TRUE(posix::save_checkpoint(base + ".s1",
+                                     object_checkpoint(plan.stripe_spec(1), {0, 1, 2, 3})));
+  // A matching record under names that are not files of the base.
+  ASSERT_TRUE(posix::save_checkpoint(base + ".s2.tmp", object_checkpoint(spec, {5})));
+  ASSERT_TRUE(posix::save_checkpoint(base + "x.s3", object_checkpoint(spec, {6})));
+  EXPECT_FALSE(posix::load_checkpoints(base, spec.object_bytes, spec.packet_bytes).has_value());
+
+  ASSERT_TRUE(posix::save_checkpoint(base, object_checkpoint(spec, {9, 10})));
+  EXPECT_EQ(loaded_globals(base, spec), (std::set<std::int64_t>{9, 10}));
   posix::remove_striped_checkpoints(base);
+  std::remove((base + ".s2.tmp").c_str());
+  std::remove((base + "x.s3").c_str());
+}
+
+TEST(StripedCheckpoint, UnionSkipsATornFileAndKeepsTheRest) {
+  // A crash can tear one stripe's file; the others still count.
+  const std::string base = ::testing::TempDir() + "fobs_stripes_torn.ckpt";
+  posix::remove_striped_checkpoints(base);
+  const TransferSpec spec{16 * 1024, 1024};
+  ASSERT_TRUE(posix::save_checkpoint(base + ".s0", object_checkpoint(spec, {0, 1})));
+  ASSERT_TRUE(posix::save_checkpoint(base + ".s1", object_checkpoint(spec, {8, 9})));
+  ASSERT_TRUE(posix::save_checkpoint(base + ".s2", object_checkpoint(spec, {12})));
+  std::filesystem::resize_file(base + ".s1", std::filesystem::file_size(base + ".s1") - 3);
+  EXPECT_EQ(loaded_globals(base, spec), (std::set<std::int64_t>{0, 1, 12}));
+  posix::remove_striped_checkpoints(base);
+  // A base in a directory that does not exist reads nothing.
+  EXPECT_FALSE(posix::load_checkpoints(::testing::TempDir() + "fobs_no_such_dir/out.ckpt",
+                                       spec.object_bytes, spec.packet_bytes)
+                   .has_value());
 }
 
 TEST(StripedCheckpoint, RemoveFindsEverySidecarAndNothingElse) {
@@ -412,81 +457,157 @@ TEST(StripedTransfer, RoundRobinLayoutLandsByteIdentical) {
   EXPECT_EQ(std::memcmp(buffer.data(), object.view().data(), buffer.size()), 0);
 }
 
+/// Copies every checkpoint file of `from` (`from` itself and its
+/// `.s<i>` sidecars) to the same name under `to`, replacing `to`'s.
+void copy_checkpoints(const std::string& from, const std::string& to) {
+  posix::remove_striped_checkpoints(to);
+  for (const std::string suffix : {"", ".s0", ".s1", ".s2", ".s3", ".s4", ".s5", ".s6", ".s7"}) {
+    if (std::filesystem::exists(from + suffix)) {
+      std::filesystem::copy_file(from + suffix, to + suffix);
+    }
+  }
+}
+
+/// One striped attempt over loopback for the checkpoint tests: a fresh
+/// engine pair, the object into `buffer`, checkpointing at `base`.
+/// Ports come from test::port(first_port) on: the sender's control
+/// range, the negotiation port and the receiver's data ports.
+posix::StripedResult striped_attempt(std::span<const std::uint8_t> object,
+                                     std::vector<std::uint8_t>& buffer,
+                                     const std::string& base, int stripes, StripeLayout layout,
+                                     std::vector<std::string> fault_plans, int first_port) {
+  constexpr std::int64_t kPacketBytes = 8 * 1024;
+  constexpr int kTimeoutMs = 4'000;  // give up on a dead stripe fast
+  posix::EngineOptions sender_options;
+  sender_options.workers = 4;
+  sender_options.control_port_base = test::port(first_port);
+  sender_options.control_port_count = 8;
+  posix::TransferEngine sender_engine(sender_options);
+  posix::TransferEngine receiver_engine(posix::EngineOptions{.workers = 4});
+  posix::StripedSenderOptions send;
+  send.negotiation_port = test::port(first_port + 8);
+  send.endpoint.packet_bytes = kPacketBytes;
+  send.endpoint.timeout_ms = kTimeoutMs;
+  posix::StripedReceiverOptions recv;
+  recv.negotiation_port = send.negotiation_port;
+  recv.data_port_base = test::port(first_port + 9);
+  recv.stripes = stripes;
+  recv.layout = layout;
+  recv.checkpoint_base = base;
+  recv.endpoint.packet_bytes = kPacketBytes;
+  recv.endpoint.timeout_ms = kTimeoutMs;
+  recv.stripe_fault_plans = std::move(fault_plans);
+  return run_striped_loopback(sender_engine, receiver_engine, send, recv, object, buffer)
+      .receiver;
+}
+
+/// Blackholes a stripe's data flow from its first packet: that stripe
+/// never stores anything, the others complete.
+const std::string kDeadStripe = "seed=7;data.blackhole=0+1000000";
+
 TEST(StripedTransfer, KilledStripeDegradesThenResumesByteIdentical) {
   constexpr std::int64_t kObjectBytes = 8 * 1024 * 1024;
   constexpr std::int64_t kPacketBytes = 8 * 1024;
   auto object = core::TransferObject::pattern(kObjectBytes, 0xDEAD51);
-  std::vector<std::uint8_t> buffer(static_cast<std::size_t>(kObjectBytes), 0);
-  const std::string checkpoint_base = ::testing::TempDir() + "fobs_stripes_kill.ckpt";
-  posix::remove_striped_checkpoints(checkpoint_base);
+  std::vector<std::uint8_t> degraded(static_cast<std::size_t>(kObjectBytes), 0);
+  const std::string base = ::testing::TempDir() + "fobs_stripes_kill.ckpt";
+  posix::remove_striped_checkpoints(base);
 
-  posix::EngineOptions sender_options;
-  sender_options.workers = 4;
-  sender_options.control_port_base = test::port(32);
-  sender_options.control_port_count = 8;
-  posix::EngineOptions receiver_options;
-  receiver_options.workers = 4;
+  // Attempt 1: K = 4 with stripe 1 dead.
+  const auto first = striped_attempt(object.view(), degraded, base, 4,
+                                     StripeLayout::kContiguous, {"", kDeadStripe, "", ""}, 32);
+  EXPECT_FALSE(first.completed());
+  EXPECT_TRUE(first.degraded()) << "expected some stripes delivered, got "
+                                << first.stripes_completed << " of " << first.stripes << ": "
+                                << first.error;
+  EXPECT_EQ(first.stripes_completed, 3);
+  EXPECT_TRUE(first.resumable);
+  ASSERT_EQ(first.stripe_receivers.size(), 4u);
+  EXPECT_NE(first.stripe_receivers[1].status, posix::TransferStatus::kCompleted);
+  StripePlan plan;
+  ASSERT_TRUE(
+      StripePlan::make({kObjectBytes, kPacketBytes}, 4, StripeLayout::kContiguous, &plan));
+  const std::int64_t finished =
+      plan.stripe_packets(0) + plan.stripe_packets(2) + plan.stripe_packets(3);
 
-  // Attempt 1: stripe 1's data flow is blackholed from the first packet
-  // — that stripe can never progress, the other three complete.
-  {
-    posix::TransferEngine sender_engine(sender_options);
-    posix::TransferEngine receiver_engine(receiver_options);
-    posix::StripedSenderOptions send;
-    send.negotiation_port = test::port(40);
-    send.endpoint.packet_bytes = kPacketBytes;
-    send.endpoint.timeout_ms = 4'000;  // give up on the dead stripe fast
-    posix::StripedReceiverOptions recv;
-    recv.negotiation_port = send.negotiation_port;
-    recv.data_port_base = test::port(41);
-    recv.stripes = 4;
-    recv.checkpoint_base = checkpoint_base;
-    recv.endpoint.packet_bytes = kPacketBytes;
-    recv.endpoint.timeout_ms = 4'000;
-    recv.stripe_fault_plans = {"", "seed=7;data.blackhole=0+1000000", "", ""};
-
-    const auto run = run_striped_loopback(sender_engine, receiver_engine, send, recv,
-                                          object.view(), buffer);
-    EXPECT_FALSE(run.receiver.completed());
-    EXPECT_TRUE(run.receiver.degraded())
-        << "expected some stripes delivered, got " << run.receiver.stripes_completed
-        << " of " << run.receiver.stripes << ": " << run.receiver.error;
-    EXPECT_EQ(run.receiver.stripes_completed, 3);
-    EXPECT_TRUE(run.receiver.resumable);
-    EXPECT_NE(run.receiver.stripe_receivers[1].status, posix::TransferStatus::kCompleted);
-    // The merged object-level checkpoint exists, so even a plain
-    // single-flow retry could resume this transfer.
-    StripePlan plan;
-    ASSERT_TRUE(StripePlan::make({kObjectBytes, kPacketBytes}, 4,
-                                 StripeLayout::kContiguous, &plan));
-    EXPECT_TRUE(posix::load_checkpoint(checkpoint_base).has_value());
-  }
-
-  // Attempt 2: same buffer, no faults — resumes from the sidecars and
-  // completes without refetching the three delivered stripes.
-  {
-    posix::TransferEngine sender_engine(sender_options);
-    posix::TransferEngine receiver_engine(receiver_options);
-    posix::StripedSenderOptions send;
-    send.negotiation_port = test::port(40);
-    send.endpoint.packet_bytes = kPacketBytes;
-    posix::StripedReceiverOptions recv;
-    recv.negotiation_port = send.negotiation_port;
-    recv.data_port_base = test::port(41);
-    recv.stripes = 4;
-    recv.checkpoint_base = checkpoint_base;
-    recv.endpoint.packet_bytes = kPacketBytes;
-
-    const auto run = run_striped_loopback(sender_engine, receiver_engine, send, recv,
-                                          object.view(), buffer);
-    ASSERT_TRUE(run.receiver.completed()) << run.receiver.error;
-    EXPECT_GT(run.receiver.packets_restored, 0)
-        << "the resume must restore the completed stripes from checkpoints";
+  // Retries with the same plan, one flow and two round-robin stripes,
+  // each from its own copy of the degraded state (a completion removes
+  // the files): every one restores exactly the finished stripes'
+  // packets and lands byte-identical.
+  struct Retry {
+    int stripes;
+    StripeLayout layout;
+  };
+  for (const Retry retry : {Retry{4, StripeLayout::kContiguous},
+                            Retry{1, StripeLayout::kContiguous},
+                            Retry{2, StripeLayout::kRoundRobin}}) {
+    SCOPED_TRACE("retry with " + std::to_string(retry.stripes) + " " +
+                 stripe::to_string(retry.layout) + " stripes");
+    const std::string copy = base + std::to_string(retry.stripes);
+    copy_checkpoints(base, copy);
+    std::vector<std::uint8_t> buffer = degraded;
+    const auto run =
+        striped_attempt(object.view(), buffer, copy, retry.stripes, retry.layout, {}, 32);
+    ASSERT_TRUE(run.completed()) << run.error;
+    EXPECT_EQ(run.stripes, retry.stripes);
+    EXPECT_EQ(run.packets_restored, finished);
     EXPECT_EQ(std::memcmp(buffer.data(), object.view().data(), buffer.size()), 0);
     EXPECT_EQ(fnv1a(buffer.data(), buffer.size()),
               fnv1a(object.view().data(), object.view().size()));
+    EXPECT_FALSE(posix::load_checkpoints(copy, kObjectBytes, kPacketBytes).has_value());
   }
-  posix::remove_striped_checkpoints(checkpoint_base);
+  posix::remove_striped_checkpoints(base);
+}
+
+TEST(StripedTransfer, NarrowerRetryKeepsEveryStoredPacket) {
+  // K = 3 with stripe 0 dead, then K = 2. The retry's stripe 1
+  // rewrites `.s1`, which held K = 3 stripe 1's packets — half of them
+  // owned by the retry's stripe 0. The record a session writes keeps
+  // everything it loaded, so none of them is lost.
+  constexpr std::int64_t kObjectBytes = 8 * 1024 * 1024;
+  constexpr std::int64_t kPacketBytes = 8 * 1024;
+  const TransferSpec spec{kObjectBytes, kPacketBytes};
+  auto object = core::TransferObject::pattern(kObjectBytes, 0x3702);
+  std::vector<std::uint8_t> degraded(static_cast<std::size_t>(kObjectBytes), 0);
+  const std::string base = ::testing::TempDir() + "fobs_stripes_narrow.ckpt";
+  posix::remove_striped_checkpoints(base);
+
+  const auto first = striped_attempt(object.view(), degraded, base, 3,
+                                     StripeLayout::kContiguous, {kDeadStripe, "", ""}, 80);
+  ASSERT_EQ(first.stripes_completed, 2) << first.error;
+  ASSERT_TRUE(first.resumable);
+  const auto stored = loaded_globals(base, spec);
+  StripePlan three;
+  ASSERT_TRUE(StripePlan::make(spec, 3, StripeLayout::kContiguous, &three));
+  EXPECT_EQ(static_cast<std::int64_t>(stored.size()),
+            three.stripe_packets(1) + three.stripe_packets(2));
+
+  {
+    SCOPED_TRACE("a K = 2 retry restores the whole union");
+    const std::string copy = base + "2";
+    copy_checkpoints(base, copy);
+    std::vector<std::uint8_t> buffer = degraded;
+    const auto run =
+        striped_attempt(object.view(), buffer, copy, 2, StripeLayout::kContiguous, {}, 80);
+    ASSERT_TRUE(run.completed()) << run.error;
+    EXPECT_EQ(run.packets_restored, static_cast<std::int64_t>(stored.size()));
+    EXPECT_EQ(std::memcmp(buffer.data(), object.view().data(), buffer.size()), 0);
+  }
+  {
+    SCOPED_TRACE("a K = 2 retry whose stripe 0 dies still records the whole union");
+    // Its stripe 1 is restored whole, completes at once and writes its
+    // final record; the dead stripe 0 writes nothing.
+    std::vector<std::uint8_t> buffer = degraded;
+    const auto run = striped_attempt(object.view(), buffer, base, 2,
+                                     StripeLayout::kContiguous, {kDeadStripe, ""}, 80);
+    ASSERT_EQ(run.stripes_completed, 1) << run.error;
+    ASSERT_TRUE(run.stripe_receivers[1].completed());
+    const auto after = loaded_globals(base, spec);
+    EXPECT_TRUE(std::includes(after.begin(), after.end(), stored.begin(), stored.end()))
+        << "the retry lost " << stored.size() - std::min(stored.size(), after.size())
+        << " or more stored packets";
+  }
+  posix::remove_striped_checkpoints(base);
 }
 
 TEST(StripedTransfer, FallsBackToOneFlowAgainstPlainSender) {
@@ -522,6 +643,25 @@ TEST(StripedTransfer, FallsBackToOneFlowAgainstPlainSender) {
   EXPECT_EQ(result.stripes, 1);
   EXPECT_EQ(handle.wait(), posix::TransferStatus::kCompleted);
   EXPECT_EQ(std::memcmp(buffer.data(), object.view().data(), buffer.size()), 0);
+}
+
+TEST(StripedTransfer, UnparseableHostIsRejectedBeforeNegotiating) {
+  // Not an IPv4 literal: refused before the negotiation connect, not
+  // retried against this machine until the deadline.
+  std::vector<std::uint8_t> buffer(64 * 1024, 0);
+  posix::TransferEngine receiver_engine(posix::EngineOptions{.workers = 1});
+  posix::StripedReceiverOptions recv;
+  recv.sender_host = "no-such-host.invalid";
+  recv.negotiation_port = test::port(96);
+  recv.data_port_base = test::port(97);
+  recv.stripes = 2;
+  recv.endpoint.timeout_ms = 10'000;
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = receiver_engine.run_striped_receiver(recv, buffer);
+  EXPECT_EQ(result.status, posix::TransferStatus::kBadOptions);
+  EXPECT_NE(result.error.find("IPv4"), std::string::npos) << result.error;
+  EXPECT_EQ(result.stripes_completed, 0);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
 }
 
 TEST(StripedTransfer, SenderOutOfControlPortsServesOneFlowOnTheNegotiationPort) {
