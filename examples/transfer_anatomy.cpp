@@ -39,8 +39,8 @@ int main(int argc, char** argv) {
 
   telemetry::EventTracer sender_trace;
   telemetry::EventTracer receiver_trace;
-  sender.set_tracer(&sender_trace);
-  receiver.set_tracer(&receiver_trace);
+  sender.session().set_tracer(&sender_trace);
+  receiver.session().set_tracer(&receiver_trace);
 
   // Goodput probe: unique packets at the receiver, sampled every 100 ms.
   sim::TimeSeriesProbe goodput(bed.sim(), "received", util::Duration::milliseconds(100),

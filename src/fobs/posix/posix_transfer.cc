@@ -14,11 +14,11 @@
 #include <thread>
 #include <vector>
 
-#include "common/bitmap.h"
 #include "common/byte_order.h"
 #include "common/log.h"
 #include "fobs/posix/checkpoint.h"
 #include "fobs/posix/codec.h"
+#include "fobs/session.h"
 #include "net/datagram_channel.h"
 #include "net/socket.h"
 #include "telemetry/metrics.h"
@@ -30,15 +30,8 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using net::Fd;
 
-/// Installs a "nanoseconds since `start`" clock on `tracer` and records
-/// the transfer_start event. No-op on a null tracer.
-void begin_trace(fobs::telemetry::EventTracer* tracer, Clock::time_point start,
-                 std::int64_t packet_count) {
-  if (tracer == nullptr) return;
-  tracer->set_clock([start] {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start).count();
-  });
-  tracer->record(telemetry::EventType::kTransferStart, -1, packet_count);
+std::int64_t ns_since(Clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start).count();
 }
 
 /// Records the terminal trace event for a non-completed status: the
@@ -61,31 +54,26 @@ void end_trace(fobs::telemetry::EventTracer* tracer, TransferStatus status) {
   }
 }
 
-/// Classifies a completed run into the per-outcome metrics counters.
-void count_outcome(telemetry::MetricsRegistry& metrics, const char* side,
-                   TransferStatus status) {
-  const std::string prefix = std::string("fobs.posix.") + side;
-  switch (status) {
-    case TransferStatus::kCompleted: metrics.counter(prefix + ".completed").inc(); break;
-    case TransferStatus::kTimeout:
-    case TransferStatus::kStalled:
-    case TransferStatus::kPeerLost:
-      metrics.counter(prefix + ".timeouts").inc();
-      break;
-    case TransferStatus::kCancelled: metrics.counter(prefix + ".cancelled").inc(); break;
-    default: metrics.counter(prefix + ".errors").inc(); break;
-  }
-}
-
-/// Scope guard that feeds the final status to count_outcome on every
-/// exit path — the early option/socket failures included, so the
-/// per-outcome counters always sum to the number of runs.
+/// Scope guard that classifies the final status into the per-outcome
+/// metrics counters on every exit path — the early option/socket
+/// failures included, so the counters always sum to the number of runs.
 class OutcomeScope {
  public:
   OutcomeScope(telemetry::MetricsRegistry& metrics, const char* side,
                const TransferStatus& status)
       : metrics_(metrics), side_(side), status_(status) {}
-  ~OutcomeScope() { count_outcome(metrics_, side_, status_); }
+  ~OutcomeScope() {
+    const char* outcome = "errors";
+    switch (status_) {
+      case TransferStatus::kCompleted: outcome = "completed"; break;
+      case TransferStatus::kTimeout:
+      case TransferStatus::kStalled:
+      case TransferStatus::kPeerLost: outcome = "timeouts"; break;
+      case TransferStatus::kCancelled: outcome = "cancelled"; break;
+      default: break;
+    }
+    metrics_.counter(std::string("fobs.posix.") + side_ + "." + outcome).inc();
+  }
   OutcomeScope(const OutcomeScope&) = delete;
   OutcomeScope& operator=(const OutcomeScope&) = delete;
 
@@ -94,6 +82,23 @@ class OutcomeScope {
   const char* side_;
   const TransferStatus& status_;
 };
+
+/// The options both endpoints share, checked in order: the error, or ""
+/// when valid. `host_ok`: the peer's host parsed as an IPv4 address.
+std::string check_options(std::uint16_t data_port, std::uint16_t control_port, bool host_ok,
+                          const EndpointOptions& endpoint, std::size_t object_bytes,
+                          const char* empty_error) {
+  if (data_port == 0 || control_port == 0) {
+    return "invalid options: data_port and control_port must be non-zero";
+  }
+  if (!host_ok) return "invalid options: host must be an IPv4 address";
+  if (endpoint.packet_bytes <= 0) return "invalid options: packet_bytes must be positive";
+  if (std::string io_invalid = endpoint.io.validate(); !io_invalid.empty()) {
+    return "invalid options: " + io_invalid;
+  }
+  if (object_bytes == 0) return std::string("invalid options: ") + empty_error;
+  return {};
+}
 
 bool cancel_requested(const std::atomic<bool>* cancel) {
   return cancel != nullptr && cancel->load(std::memory_order_relaxed);
@@ -149,88 +154,33 @@ bool resolve_fault_plan(const std::string& from_options,
   return true;
 }
 
-/// Wall-clock stall checker shared by both endpoints: `tick` forwards
-/// to the core once per elapsed interval and reports whether the
-/// consecutive-empty streak has reached the give-up limit.
-class StallClock {
- public:
-  StallClock(Clock::time_point start, int timeout_ms, int intervals)
-      : limit_(std::max(1, intervals)),
-        interval_(std::chrono::milliseconds(std::max(1, timeout_ms / std::max(1, intervals)))),
-        next_check_(start + interval_) {}
+/// Arms the stall clock: `stall_intervals` intervals of `timeout_ms /
+/// stall_intervals` (at least 1 ms) each, from `now_ns`.
+template <typename Session>
+void arm_stall(Session& session, std::int64_t now_ns, const EndpointOptions& endpoint) {
+  const int intervals = std::max(1, endpoint.stall_intervals);
+  const std::int64_t interval_ms = std::max(1, endpoint.timeout_ms / intervals);
+  session.arm_stall_clock(now_ns, interval_ms * 1'000'000, intervals);
+}
 
-  template <typename Core>
-  [[nodiscard]] bool expired(Core& core) {
-    const auto now = Clock::now();
-    while (now >= next_check_) {
-      streak_ = core.on_stall_interval();
-      next_check_ += interval_;
-    }
-    return streak_ >= limit_;
+/// The checks that end a transfer loop early: cancellation, then the
+/// session's stall budget, whose verdict tells a peer that never showed
+/// up (a plain timeout) from progress that then stopped (a stall).
+/// True, with the result's status and error set, when the loop must end.
+template <typename Result, typename Session>
+bool must_stop(Result& result, Session& session, const std::atomic<bool>* cancel,
+               Clock::time_point start) {
+  if (cancel_requested(cancel)) {
+    result.status = TransferStatus::kCancelled;
+    result.error = "cancelled";
+    return true;
   }
-
- private:
-  int limit_;
-  Clock::duration interval_;
-  Clock::time_point next_check_;
-  int streak_ = 0;
-};
-
-/// Classification of one received ACK datagram.
-enum class AckClass : std::uint8_t {
-  kApply,    ///< decoded, epoch matches: apply to the core
-  kStale,    ///< decoded, wrong incarnation epoch: count and ignore
-  kCorrupt,  ///< undecodable (corrupted in flight or garbage): count and drop
-};
-
-/// The one place ACK datagrams are classified — shared by the sender's
-/// main loop and its completion drain, so the drop counters and trace
-/// events can never diverge between the two code paths.
-class AckClassifier {
- public:
-  AckClassifier(SenderResult& result, telemetry::MetricsRegistry& metrics,
-                fobs::telemetry::EventTracer* tracer)
-      : result_(result), metrics_(metrics), tracer_(tracer) {}
-
-  /// A hello frame announced the receiver's incarnation epoch; from now
-  /// on only ACKs stamped with it are applied.
-  void on_hello(std::uint32_t epoch) {
-    epoch_ = epoch;
-    filtering_ = true;
-  }
-
-  /// The control channel reconnected: the dead incarnation's in-flight
-  /// ACKs are poison, so reject everything until the new hello arrives
-  /// (receivers always pick nonzero epochs).
-  void on_peer_reconnect() { epoch_ = 0; }
-
-  AckClass classify(const std::uint8_t* data, std::size_t len,
-                    std::optional<fobs::core::AckMessage>& decoded) {
-    decoded = decode_ack(data, len);
-    if (!decoded) {
-      ++result_.corrupt_acks_dropped;
-      metrics_.counter("fobs.fault.corrupt_drops").inc();
-      if (tracer_ != nullptr) {
-        tracer_->record(telemetry::EventType::kCorruptDrop, -1,
-                        result_.corrupt_acks_dropped);
-      }
-      return AckClass::kCorrupt;
-    }
-    if (filtering_ && decoded->epoch != epoch_) {
-      ++result_.stale_acks_dropped;
-      metrics_.counter("fobs.fault.stale_acks").inc();
-      return AckClass::kStale;
-    }
-    return AckClass::kApply;
-  }
-
- private:
-  SenderResult& result_;
-  telemetry::MetricsRegistry& metrics_;
-  fobs::telemetry::EventTracer* tracer_;
-  std::uint32_t epoch_ = 0;
-  bool filtering_ = false;
-};
+  if (!session.stall_expired(ns_since(start))) return false;
+  const bool stalled = session.give_up() == fobs::core::GiveUp::kStalled;
+  result.status = stalled ? TransferStatus::kStalled : TransferStatus::kTimeout;
+  result.error = stalled ? "stalled: no progress for the whole stall budget" : "timeout";
+  return true;
+}
 
 }  // namespace
 
@@ -251,27 +201,10 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
   result.status = TransferStatus::kBadOptions;
   auto& metrics = telemetry::MetricsRegistry::global();
   OutcomeScope outcome(metrics, "sender", result.status);
-  if (options.data_port == 0 || options.control_port == 0) {
-    result.error = "invalid options: data_port and control_port must be non-zero";
-    return result;
-  }
   const auto peer = net::make_addr(options.receiver_host, options.data_port);
-  if (!peer) {
-    result.error = "invalid options: host must be an IPv4 address";
-    return result;
-  }
-  if (options.endpoint.packet_bytes <= 0) {
-    result.error = "invalid options: packet_bytes must be positive";
-    return result;
-  }
-  if (const std::string io_invalid = options.endpoint.io.validate(); !io_invalid.empty()) {
-    result.error = "invalid options: " + io_invalid;
-    return result;
-  }
-  if (object.empty()) {
-    result.error = "invalid options: cannot send an empty object";
-    return result;
-  }
+  result.error = check_options(options.data_port, options.control_port, peer.has_value(),
+                               options.endpoint, object.size(), "cannot send an empty object");
+  if (!result.error.empty()) return result;
   const auto stripe = resolve_stripe(
       options.stripe, {static_cast<std::int64_t>(object.size()), options.endpoint.packet_bytes},
       result.error);
@@ -305,7 +238,9 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
     return result;
   }
 
-  fobs::core::SenderCore core(spec, options.core);
+  fobs::core::SenderSession session(spec, options.core);
+  fobs::core::SenderCore& core = session.core();
+  if (faults) session.set_fault_injector(&*faults);
   // Per-batch scatter-gather state. Headers live in `headers` so every
   // view's iovec stays valid for the whole send_batch call; payload
   // views point straight into the caller's (typically mmap'd) object —
@@ -315,41 +250,28 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
   std::vector<std::vector<std::uint8_t>> corrupt_payloads;
   std::vector<fobs::net::RecvView> ack_views(
       static_cast<std::size_t>(options.endpoint.io.recv_batch));
+  // Hands `n` received ACK datagrams to the session; an undecodable one
+  // (corrupted in flight, or garbage) arrives there as null.
+  auto take_acks = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const auto& datagram = ack_views[static_cast<std::size_t>(i)].data;
+      const auto ack = decode_ack(datagram.data(), datagram.size());
+      session.on_ack(ack ? &*ack : nullptr);
+    }
+  };
 
   Fd control;
-  bool control_ever_connected = false;
   std::vector<std::uint8_t> control_buf;
   const auto start = Clock::now();
-  StallClock stall(start, options.endpoint.timeout_ms, options.endpoint.stall_intervals);
+  arm_stall(session, 0, options.endpoint);
   fobs::telemetry::EventTracer* tracer = options.endpoint.tracer;
-  // ACK-stream versioning: once a receiver announces its incarnation
-  // epoch via a hello frame, only ACKs stamped with that epoch are
-  // applied. After a reconnect the expected epoch is cleared, so late
-  // datagrams from the dead incarnation can never re-mark packets the
-  // new receiver does not have.
-  AckClassifier acks(result, metrics, tracer);
-  core.set_tracer(tracer);
-  begin_trace(tracer, start, spec.packet_count());
+  session.set_tracer(tracer);
+  session.begin_trace([start] { return ns_since(start); });
   metrics.counter("fobs.posix.sender.transfers").inc();
   result.status = TransferStatus::kRunning;
 
-  while (!core.completion_received()) {
-    if (cancel_requested(cancel)) {
-      result.status = TransferStatus::kCancelled;
-      result.error = "cancelled";
-      break;
-    }
-    if (stall.expired(core)) {
-      // Zero progress ever means the peer never showed up (a plain
-      // timeout); progress that then stopped for the whole budget is a
-      // stall — callers may want to treat those very differently.
-      const bool progressed = control_ever_connected || core.stats().packets_acked > 0;
-      result.status = progressed ? TransferStatus::kStalled : TransferStatus::kTimeout;
-      result.error = progressed ? "stalled: no progress for the whole stall budget"
-                                : "timeout";
-      metrics.counter("fobs.fault.stalls").inc();
-      break;
-    }
+  while (!session.completed()) {
+    if (must_stop(result, session, cancel, start)) break;
 
     // Accept / read the control channel. A restarted receiver shows up
     // as EOF on the old connection followed by a fresh accept; its
@@ -357,28 +279,12 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
     // incarnation stored.
     if (!control.valid()) {
       control = net::accept_until(listener, Clock::time_point::min());
-      if (control.valid()) {
-        if (control_ever_connected) {
-          ++result.reconnects;
-          metrics.counter("fobs.fault.reconnects").inc();
-          if (tracer != nullptr) {
-            tracer->record(telemetry::EventType::kReconnect, -1, result.reconnects);
-          }
-          // The peer's state is unknown (possibly a from-scratch
-          // restart): drop the ACK view so everything is resent unless
-          // the resume frame that may follow restores it.
-          core.on_peer_restart();
-          // Discard ACKs queued by the previous incarnation — applying
-          // one after the reset would re-mark packets the new receiver
-          // does not have. (An early ACK from the new incarnation can be
-          // discarded too; the next snapshot ACK supersedes it.) The
-          // drain handles what is already queued; the epoch filter
-          // handles stale ACKs still in flight after it.
-          while (channel.recv_batch(ack_views, nullptr) > 0) {
-          }
-          acks.on_peer_reconnect();
+      if (control.valid() && session.on_control_connected()) {
+        // Discard ACKs queued by the previous incarnation (an early ACK
+        // from the new one goes too; the next snapshot ACK supersedes
+        // it). The epoch filter handles stale ACKs still in flight.
+        while (channel.recv_batch(ack_views, nullptr) > 0) {
         }
-        control_ever_connected = true;
       }
     } else {
       std::uint8_t tmp[4096];
@@ -394,12 +300,12 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
       while (control_buf.size() >= 8) {
         const std::uint64_t token = util::get_u64(control_buf.data());
         if (token == kCompletionToken) {
-          core.on_completion_signal();
+          session.on_completion();
           break;
         }
         if (token == kHelloToken) {
           if (control_buf.size() < kHelloFrameSize) break;  // wait for the rest
-          acks.on_hello(static_cast<std::uint32_t>(util::get_u64(control_buf.data() + 8)));
+          session.on_hello(static_cast<std::uint32_t>(util::get_u64(control_buf.data() + 8)));
           control_buf.erase(control_buf.begin(),
                             control_buf.begin() + static_cast<std::ptrdiff_t>(kHelloFrameSize));
           continue;
@@ -416,31 +322,19 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
         const auto frame = decode_resume(control_buf.data(), frame_size);
         control_buf.erase(control_buf.begin(),
                           control_buf.begin() + static_cast<std::ptrdiff_t>(frame_size));
-        if (frame && frame->packet_count == spec.packet_count()) {
-          result.packets_resumed +=
-              core.on_resume(frame->bitmap.data(), frame->bitmap.size(), frame->packet_count);
-          metrics.counter("fobs.fault.resumes").inc();
+        if (frame) {
+          session.on_resume(frame->bitmap.data(), frame->bitmap.size(), frame->packet_count);
         }
       }
-      if (core.completion_received()) break;
+      if (session.completed()) break;
     }
 
     // Phase 2: one non-blocking batched drain of the ACK socket.
-    // Undecodable datagrams (corrupted in flight or plain garbage) are
-    // counted and dropped; they never reach the core.
-    const int n_acks = channel.recv_batch(ack_views, nullptr);
-    for (int i = 0; i < n_acks; ++i) {
-      std::optional<fobs::core::AckMessage> ack;
-      if (acks.classify(ack_views[static_cast<std::size_t>(i)].data.data(),
-                        ack_views[static_cast<std::size_t>(i)].data.size(),
-                        ack) == AckClass::kApply) {
-        core.on_ack(*ack);
-      }
-    }
+    take_acks(channel.recv_batch(ack_views, nullptr));
 
     // The first control accept gates data (see docs/PROTOCOL.md): until
     // then the receiver's data port may not be bound yet.
-    if (!control_ever_connected || core.all_acked()) {
+    if (!session.connected() || core.all_acked()) {
       // Nothing useful to send; sleep on the actual fds (fresher ACKs
       // on the data socket, the completion token on the control side)
       // instead of napping a fixed interval, so completion latency does
@@ -462,7 +356,7 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
     int selected = 0;
     bool crash_pending = false;
     for (int i = 0; i < batch && !core.all_acked(); ++i) {
-      if (faults && faults->crash_due()) {
+      if (session.crash_due()) {
         crash_pending = true;  // what is already gathered still goes out
         break;
       }
@@ -473,25 +367,17 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
       auto& header_buf = headers[static_cast<std::size_t>(selected)];
       encode_data_header(DataHeader{*seq, payload_crc(payload, static_cast<std::size_t>(len))},
                          header_buf.data());
-      int copies = 1;
-      if (faults) {
-        switch (faults->next(fobs::net::FaultChannel::kData)) {
-          case fobs::net::FaultAction::kDrop: copies = 0; break;
-          case fobs::net::FaultAction::kCorrupt: {
-            // Flip a byte in a private copy after the CRC was computed,
-            // so the receiver's checksum test fails deterministically —
-            // on exactly this datagram of the batch. The mapped object
-            // itself must stay pristine.
-            auto& copy = corrupt_payloads.emplace_back(payload, payload + len);
-            copy[0] ^= 0xFF;
-            payload = copy.data();
-            break;
-          }
-          case fobs::net::FaultAction::kDuplicate: copies = 2; break;
-          case fobs::net::FaultAction::kPass: break;
-        }
+      const auto fate = session.next_data_fate();
+      if (fate.corrupt) {
+        // Flip a byte in a private copy after the CRC was computed, so
+        // the receiver's checksum test fails deterministically — on
+        // exactly this datagram of the batch. The mapped object itself
+        // must stay pristine.
+        auto& copy = corrupt_payloads.emplace_back(payload, payload + len);
+        copy[0] ^= 0xFF;
+        payload = copy.data();
       }
-      for (int copy = 0; copy < copies; ++copy) {
+      for (int copy = 0; copy < fate.copies; ++copy) {
         views.push_back({std::span<const std::uint8_t>(header_buf),
                          std::span<const std::uint8_t>(payload,
                                                        static_cast<std::size_t>(len))});
@@ -523,24 +409,21 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
   // counters reflect everything that actually arrived. A fast transfer
   // can complete over the control channel with most ACKs unread; their
   // classification must not depend on that race.
-  if (core.completion_received()) {
+  if (session.completed()) {
     int drained = 0;
-    while ((drained = channel.recv_batch(ack_views, nullptr)) > 0) {
-      for (int i = 0; i < drained; ++i) {
-        std::optional<fobs::core::AckMessage> ack;
-        // Classification only — the transfer is over, so a kApply ACK
-        // is simply discarded while corrupt/stale ones are counted.
-        acks.classify(ack_views[static_cast<std::size_t>(i)].data.data(),
-                      ack_views[static_cast<std::size_t>(i)].data.size(), ack);
-      }
-    }
+    while ((drained = channel.recv_batch(ack_views, nullptr)) > 0) take_acks(drained);
   }
 
   const double elapsed = std::chrono::duration<double>(Clock::now() - start).count();
   result.elapsed_seconds = elapsed;
   result.packets_sent = core.stats().packets_sent;
   result.waste = core.waste();
-  if (core.completion_received()) {
+  const auto& recovery = session.stats();
+  result.corrupt_acks_dropped = recovery.corrupt_acks_dropped;
+  result.stale_acks_dropped = recovery.stale_acks_dropped;
+  result.reconnects = recovery.reconnects;
+  result.packets_resumed = recovery.packets_resumed;
+  if (session.completed()) {
     result.status = TransferStatus::kCompleted;
     result.goodput_mbps = mbps(spec.object_bytes, elapsed);
     result.error.clear();
@@ -566,26 +449,11 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
   result.status = TransferStatus::kBadOptions;
   auto& metrics = telemetry::MetricsRegistry::global();
   OutcomeScope outcome(metrics, "receiver", result.status);
-  if (options.data_port == 0 || options.control_port == 0) {
-    result.error = "invalid options: data_port and control_port must be non-zero";
-    return result;
-  }
-  if (!net::make_addr(options.sender_host, options.control_port)) {
-    result.error = "invalid options: host must be an IPv4 address";
-    return result;
-  }
-  if (options.endpoint.packet_bytes <= 0) {
-    result.error = "invalid options: packet_bytes must be positive";
-    return result;
-  }
-  if (const std::string io_invalid = options.endpoint.io.validate(); !io_invalid.empty()) {
-    result.error = "invalid options: " + io_invalid;
-    return result;
-  }
-  if (buffer.empty()) {
-    result.error = "invalid options: cannot receive into an empty buffer";
-    return result;
-  }
+  result.error = check_options(
+      options.data_port, options.control_port,
+      net::make_addr(options.sender_host, options.control_port).has_value(), options.endpoint,
+      buffer.size(), "cannot receive into an empty buffer");
+  if (!result.error.empty()) return result;
   const fobs::core::TransferSpec whole{static_cast<std::int64_t>(buffer.size()),
                                        options.endpoint.packet_bytes};
   const auto stripe = resolve_stripe(options.stripe, whole, result.error);
@@ -614,57 +482,42 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
   const auto start = Clock::now();
   const auto deadline = start + std::chrono::milliseconds(options.endpoint.timeout_ms);
   fobs::telemetry::EventTracer* tracer = options.endpoint.tracer;
-  begin_trace(tracer, start, spec.packet_count());
-
-  fobs::core::ReceiverCore core(spec, options.core);
-  core.set_tracer(tracer);
+  // Each POSIX endpoint runs its own plan, so arrivals draw its data
+  // schedule here.
+  fobs::core::ReceiverSession session(spec, options.core, /*draws_data_faults=*/true);
+  const fobs::core::ReceiverCore& core = session.core();
+  if (faults) session.set_fault_injector(&*faults);
+  session.set_tracer(tracer);
+  session.begin_trace([start] { return ns_since(start); });
   result.status = TransferStatus::kRunning;
 
-  // Resume: pre-seed the bitmap with this stripe's packets from the
-  // union of the base's checkpoint files. The data bytes themselves
-  // must already be in `buffer` (the caller persisted the partial
-  // object, e.g. via a file-backed buffer). `record` is what this
-  // session checkpoints: everything the union held — other stripes'
-  // packets included, so rewriting a file another plan's stripe wrote
-  // loses none of them — plus every packet received.
+  // Resume from the union of the base's checkpoint files; their bytes
+  // must already be in `buffer` (e.g. a file-backed mapping).
   const std::string& base = options.checkpoint_path;
-  const std::string record_path =
-      base.empty() ? "" : checkpoint_file(base, plan.stripe_count(), stripe.index);
-  const auto whole_packets = static_cast<std::size_t>(whole.packet_count());
-  fobs::util::Bitmap record;
   if (!base.empty()) {
-    record = fobs::util::Bitmap(whole_packets);
-    if (const auto known = load_checkpoints(base, whole.object_bytes, whole.packet_bytes)) {
-      record.merge_range(0, whole_packets, known->bitmap.data(), known->bitmap.size());
-      const auto local_packets = static_cast<std::size_t>(spec.packet_count());
-      fobs::util::Bitmap mine(local_packets);
-      for (std::size_t j = 0; j < local_packets; ++j) {
-        const auto global = plan.to_global(stripe.index, static_cast<fobs::core::PacketSeq>(j));
-        if (record.test(static_cast<std::size_t>(global))) mine.set(j);
-      }
-      const auto packed = mine.extract_range(0, local_packets);
-      result.packets_restored = core.restore(packed.data(), packed.size(), spec.packet_count());
-      if (result.packets_restored > 0) metrics.counter("fobs.fault.resumes").inc();
-    }
+    const auto known = load_checkpoints(base, whole.object_bytes, whole.packet_bytes);
+    result.packets_restored =
+        session.open_record(plan, stripe.index, known ? known->bitmap.data() : nullptr,
+                            known ? known->bitmap.size() : 0);
   }
   auto save_record = [&] {
+    const auto& record = session.record();
     Checkpoint checkpoint;
     checkpoint.object_bytes = whole.object_bytes;
     checkpoint.packet_bytes = whole.packet_bytes;
     checkpoint.received_count = static_cast<std::int64_t>(record.count());
-    checkpoint.bitmap = record.extract_range(0, whole_packets);
-    save_checkpoint(record_path, checkpoint);
+    checkpoint.bitmap = record.extract_range(0, record.size());
+    save_checkpoint(checkpoint_file(base, plan.stripe_count(), stripe.index), checkpoint);
   };
 
-  // Incarnation epoch: stamps every ACK and is announced on each
-  // control connection, so the sender can tell this incarnation's ACKs
-  // from stale ones still in flight after a restart. Monotonic time
-  // xor'd with the pid makes a collision across incarnations
-  // vanishingly unlikely; zero is reserved for "no epoch yet".
+  // Incarnation epoch, announced by the hello on each control
+  // connection: monotonic time xor'd with the pid makes a collision
+  // across incarnations vanishingly unlikely; zero means "no epoch".
   std::uint32_t epoch = static_cast<std::uint32_t>(
       std::chrono::steady_clock::now().time_since_epoch().count() ^
       (static_cast<std::uint64_t>(::getpid()) << 16));
   if (epoch == 0) epoch = 1;
+  session.set_epoch(epoch);
   std::uint8_t hello[kHelloFrameSize];
   util::put_u64(hello, kHelloToken);
   util::put_u64(hello + 8, epoch);
@@ -689,7 +542,7 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
   }
 
   // Announce a restored bitmap so the sender skips what we already have.
-  if (result.packets_restored > 0 || core.complete()) {
+  if (session.resume_due()) {
     const auto bitmap = core.received().extract_range(
         0, static_cast<std::size_t>(spec.packet_count()));
     const auto frame = encode_resume(spec.packet_count(), result.packets_restored, bitmap);
@@ -700,33 +553,15 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
 
   std::vector<fobs::net::RecvView> rx_views(
       static_cast<std::size_t>(options.endpoint.io.recv_batch));
-  bool sender_known = false;
   sockaddr_in sender_addr{};  // learned from the first *valid* data packet
   // The stall budget measures the data-transfer phase only: a slow
   // control connect must not be double-counted as empty stall intervals
   // the moment data starts flowing.
-  StallClock stall(Clock::now(), options.endpoint.timeout_ms, options.endpoint.stall_intervals);
-  int acks_since_checkpoint = 0;
-  bool crashed = false;
+  arm_stall(session, ns_since(start), options.endpoint);
 
-  while (!core.complete() && !crashed) {
-    if (cancel_requested(cancel)) {
-      result.status = TransferStatus::kCancelled;
-      result.error = "cancelled";
-      break;
-    }
-    if (stall.expired(core)) {
-      const bool progressed = core.stats().packets_received > 0;
-      result.status = progressed ? TransferStatus::kStalled : TransferStatus::kTimeout;
-      result.error = progressed ? "stalled: no progress for the whole stall budget"
-                                : "timeout";
-      metrics.counter("fobs.fault.stalls").inc();
-      break;
-    }
-    if (faults && faults->crash_due()) {
-      crashed = true;
-      break;
-    }
+  while (!core.complete() && !session.crashed()) {
+    if (must_stop(result, session, cancel, start)) break;
+    if (session.crash_due()) break;
     const int n_rx = channel.recv_batch(rx_views, &io_error);
     if (n_rx < 0) {
       result.status = TransferStatus::kSocketError;
@@ -743,100 +578,50 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
       // processed from this recvmmsg stay processed, the rest are lost
       // with the incarnation — exactly what a kill -9 between two
       // recvfrom calls used to look like.
-      if (faults && faults->crash_due()) {
-        crashed = true;
-        break;
-      }
+      if (session.crash_due()) break;
       const std::uint8_t* data = rx_views[static_cast<std::size_t>(i)].data.data();
       const std::size_t size = rx_views[static_cast<std::size_t>(i)].data.size();
       const auto header = decode_data_header(data, size);
       if (!header || header->seq < 0 || header->seq >= spec.packet_count()) continue;
       const std::int64_t len = spec.payload_bytes(header->seq);
       if (size < kDataHeaderSize + static_cast<std::size_t>(len)) continue;  // truncated
-      if (payload_crc(data + kDataHeaderSize, static_cast<std::size_t>(len)) !=
-          header->payload_crc) {
-        // Checksum failure: reject before the payload can touch the
-        // object buffer; the greedy sender will resend it.
-        ++result.corrupt_packets_dropped;
-        metrics.counter("fobs.fault.corrupt_drops").inc();
-        if (tracer != nullptr) {
-          tracer->record(telemetry::EventType::kCorruptDrop, header->seq,
-                         result.corrupt_packets_dropped);
-        }
-        continue;
-      }
+      const bool checksum_ok =
+          payload_crc(data + kDataHeaderSize, static_cast<std::size_t>(len)) ==
+          header->payload_crc;
       // Only a fully validated packet may teach us where ACKs go — a
       // garbage datagram must not be able to redirect the ACK stream.
-      sender_addr = rx_views[static_cast<std::size_t>(i)].from;
-      sender_known = true;
-
-      if (faults) {
-        // The receiver-side data schedule models incoming damage beyond
-        // what the checksum caught: drop = pretend it never arrived.
-        // Drawn per datagram, so a fault hits one slot of the batch.
-        switch (faults->next(fobs::net::FaultChannel::kData)) {
-          case fobs::net::FaultAction::kDrop: continue;
-          case fobs::net::FaultAction::kCorrupt: {
-            ++result.corrupt_packets_dropped;
-            metrics.counter("fobs.fault.corrupt_drops").inc();
-            if (tracer != nullptr) {
-              tracer->record(telemetry::EventType::kCorruptDrop, header->seq,
-                             result.corrupt_packets_dropped);
-            }
-            continue;
-          }
-          default: break;
-        }
+      if (checksum_ok) sender_addr = rx_views[static_cast<std::size_t>(i)].from;
+      const auto admitted = session.admit(header->seq, checksum_ok);
+      if (admitted.newly_received) {
+        std::memcpy(buffer.data() + plan.global_offset(stripe.index, header->seq),
+                    data + kDataHeaderSize, static_cast<std::size_t>(len));
       }
-
-      const auto outcome = core.on_data_packet(header->seq);
-      if (outcome.newly_received) {
-        const auto global = plan.to_global(stripe.index, header->seq);
-        std::memcpy(buffer.data() + whole.offset_of(global), data + kDataHeaderSize,
-                    static_cast<std::size_t>(len));
-        if (!record.empty()) record.set(static_cast<std::size_t>(global));
-      }
-      if (outcome.ack_due && sender_known) {
-        auto msg = core.make_ack();
-        msg.epoch = epoch;
-        auto ack = encode_ack(msg);
-        int copies = 1;
-        if (faults) {
-          switch (faults->next(fobs::net::FaultChannel::kAck)) {
-            case fobs::net::FaultAction::kDrop: copies = 0; break;
-            case fobs::net::FaultAction::kCorrupt:
-              // Smash the magic so the sender counts + rejects it.
-              ack[0] ^= 0xFF;
-              break;
-            case fobs::net::FaultAction::kDuplicate: copies = 2; break;
-            case fobs::net::FaultAction::kPass: break;
-          }
-        }
-        if (copies > 0) {
+      if (admitted.ack_due) {
+        const auto ack = session.next_ack();
+        auto bytes = encode_ack(ack.message);
+        // Smash the magic so the sender counts + rejects it.
+        if (ack.fate.corrupt) bytes[0] ^= 0xFF;
+        if (ack.fate.copies > 0) {
           // A duplicated ACK goes out as one two-view batch — one
           // syscall where the per-packet path used two sendto calls.
           const fobs::net::DatagramView ack_view{
-              std::span<const std::uint8_t>(ack.data(), ack.size())};
+              std::span<const std::uint8_t>(bytes.data(), bytes.size())};
           std::array<fobs::net::DatagramView, 2> ack_batch{ack_view, ack_view};
           channel.send_batch(
-              std::span<const fobs::net::DatagramView>(ack_batch.data(),
-                                                       static_cast<std::size_t>(copies)),
+              std::span<const fobs::net::DatagramView>(
+                  ack_batch.data(), static_cast<std::size_t>(ack.fate.copies)),
               sender_addr, nullptr);
         }
         if (tracer != nullptr) {
           tracer->record(telemetry::EventType::kAckSent,
-                         static_cast<std::int64_t>(msg.ack_no),
-                         static_cast<std::int64_t>(ack.size()));
+                         static_cast<std::int64_t>(ack.message.ack_no),
+                         static_cast<std::int64_t>(bytes.size()));
         }
-        if (!base.empty() &&
-            ++acks_since_checkpoint >= std::max(1, options.checkpoint_every_acks)) {
-          acks_since_checkpoint = 0;
-          save_record();
-        }
+        if (ack.save_record) save_record();
       }
     }
   }
-  if (crashed) {
+  if (session.crashed()) {
     // Simulated kill -9: abandon the transfer without cleanup. Any
     // checkpoint written so far stays behind for the next incarnation.
     result.status = TransferStatus::kCrashed;
@@ -855,11 +640,7 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
       control = net::connect_with_backoff(options.sender_host, options.control_port,
                                           Clock::now() + std::chrono::seconds(1), cancel);
       if (!control.valid()) continue;
-      ++result.reconnects;
-      metrics.counter("fobs.fault.reconnects").inc();
-      if (tracer != nullptr) {
-        tracer->record(telemetry::EventType::kReconnect, -1, result.reconnects);
-      }
+      session.on_control_reconnected();
       // Hello first, as on every control connection.
       delivered = net::send_all(control.get(), hello, sizeof hello,
                            Clock::now() + std::chrono::seconds(1)) &&
@@ -883,6 +664,8 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
   result.elapsed_seconds = elapsed;
   result.packets_received = core.stats().packets_received;
   result.duplicates = core.stats().duplicates;
+  result.corrupt_packets_dropped = session.stats().corrupt_packets_dropped;
+  result.reconnects = session.stats().reconnects;
   if (result.completed()) result.goodput_mbps = mbps(spec.object_bytes, elapsed);
   end_trace(tracer, result.status);
   if (faults) metrics.counter("fobs.fault.injected").inc(faults->total_injected());

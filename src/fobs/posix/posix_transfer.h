@@ -1,6 +1,6 @@
 // Real-socket (POSIX) FOBS drivers.
 //
-// The same SenderCore/ReceiverCore state machines that run in the
+// The same sessions and cores (fobs/session.h) that run in the
 // simulator, driven by non-blocking UDP sockets plus a TCP completion
 // channel — the paper's deployment shape. One UDP socket per side
 // carries both data and acknowledgements (the receiver replies to the
@@ -67,16 +67,12 @@ struct SenderResult {
   /// Valid ACKs discarded because their epoch did not match the current
   /// receiver incarnation (late datagrams from before a reconnect).
   std::int64_t stale_acks_dropped = 0;
-  /// Control-channel connections accepted after the first one (a
-  /// restarted receiver reconnecting).
+  /// Control connections accepted after the first (a receiver restarting).
   int reconnects = 0;
   /// Packets marked received by resume frames rather than by ACKs: the
-  /// sends a restarted receiver's checkpoint saved (summed over every
-  /// resume frame applied).
+  /// sends a restarted receiver's checkpoint saved, over every frame.
   std::int64_t packets_resumed = 0;
-  /// Data-plane I/O counters for this transfer's datagram channel
-  /// (syscalls, datagrams, payload copy bytes avoided by the gather
-  /// path).
+  /// Data-plane I/O counters (syscalls, datagrams, copy bytes avoided).
   fobs::net::IoStats io;
 
   [[nodiscard]] bool completed() const { return status == TransferStatus::kCompleted; }
@@ -93,18 +89,17 @@ struct ReceiverOptions {
   fobs::core::ReceiverConfig core;
   /// When non-empty, the checkpoint base (fobs/posix/checkpoint.h):
   /// the receiver's bitmap is persisted to its file of the base every
-  /// `checkpoint_every_acks` acknowledgements, the union of the base's
-  /// files is loaded on start (the caller must supply the same
-  /// partially-filled buffer the previous incarnation wrote into —
-  /// typically a TransferObject::map_file_rw mapping, which keeps the
-  /// bytes on disk even across a hard crash; restoring a checkpoint
-  /// over a buffer that lacks those bytes silently corrupts the
-  /// object), and every file of the base is removed after a completed
-  /// unstriped transfer. A restarted receiver announces its restored
-  /// bitmap to the sender over the control channel so already-received
-  /// packets are not re-sent.
+  /// ReceiverSession::kCheckpointEveryAcks (16) acknowledgements, the
+  /// union of the base's files is loaded on start (the caller must
+  /// supply the same partially-filled buffer the previous incarnation
+  /// wrote into — typically a TransferObject::map_file_rw mapping,
+  /// which keeps the bytes on disk even across a hard crash; restoring
+  /// a checkpoint over a buffer that lacks those bytes silently
+  /// corrupts the object), and every file of the base is removed after
+  /// a completed unstriped transfer. A restarted receiver announces its
+  /// restored bitmap to the sender over the control channel so
+  /// already-received packets are not re-sent.
   std::string checkpoint_path;
-  int checkpoint_every_acks = 16;
   /// Knobs shared with the send side. SO_RCVBUF — the buffer whose
   /// overflow during ACK construction the paper's Figure 1 studies —
   /// now lives at `endpoint.io.recv_buffer_bytes`.

@@ -59,26 +59,10 @@ std::int64_t ReceiverCore::restore(const std::uint8_t* packed, std::size_t packe
   stats_.restored += restored;
   const auto next = received_.first_clear(0);
   frontier_ = next ? static_cast<PacketSeq>(*next) : spec_.packet_count();
-  // Restored packets are progress the stall detector must not re-count.
-  progress_at_last_interval_ = static_cast<std::int64_t>(received_.count());
   if (tracer_ != nullptr) {
     tracer_->record(telemetry::EventType::kResume, -1, restored);
   }
   return restored;
-}
-
-int ReceiverCore::on_stall_interval() {
-  const std::int64_t progress = static_cast<std::int64_t>(received_.count());
-  if (progress > progress_at_last_interval_ || complete()) {
-    progress_at_last_interval_ = progress;
-    empty_intervals_ = 0;
-    return 0;
-  }
-  ++empty_intervals_;
-  if (tracer_ != nullptr) {
-    tracer_->record(telemetry::EventType::kStall, -1, empty_intervals_);
-  }
-  return empty_intervals_;
 }
 
 }  // namespace fobs::core

@@ -50,19 +50,11 @@ class ReceiverCore {
   /// Builds the next acknowledgement (resets the ack-frequency counter).
   AckMessage make_ack();
 
-  /// Pre-seeds the received bitmap from a checkpoint (`packed` in
-  /// Bitmap::extract_range format, `nbits` packets from seq 0); call
-  /// before any packets arrive. Recomputes the frontier and records a
-  /// `resume` trace event. Returns the number of packets restored, or
-  /// -1 when `nbits` does not match this transfer's packet count.
+  /// Pre-seeds the received bitmap (extract_range format, `nbits` from
+  /// seq 0) before any packet arrives, and traces a `resume` event.
+  /// Returns the packets restored, or -1 when `nbits` does not match.
   std::int64_t restore(const std::uint8_t* packed, std::size_t packed_len,
                        std::int64_t nbits);
-
-  /// Progress-based stall detection: the driver calls this once per
-  /// stall interval. An interval with zero newly-received packets on a
-  /// still-incomplete object is "empty" and traced as a `stall` event;
-  /// returns the streak of consecutive empty intervals (0 on progress).
-  int on_stall_interval();
 
   /// Attaches a per-transfer event tracer (nullptr = telemetry off, the
   /// default; must outlive the core). Records packet placement,
@@ -85,9 +77,6 @@ class ReceiverCore {
   AckBuilder ack_builder_;
   PacketSeq frontier_ = 0;
   std::int64_t new_since_ack_ = 0;
-  // Stall-detection bookkeeping.
-  std::int64_t progress_at_last_interval_ = 0;
-  int empty_intervals_ = 0;
   ReceiverStats stats_;
   telemetry::EventTracer* tracer_ = nullptr;
 };

@@ -76,26 +76,6 @@ void SenderCore::on_peer_restart() {
   last_total_received_ = 0;
   sent_at_last_ack_ = stats_.packets_sent;
   received_at_last_ack_ = 0;
-  // A reconnect is progress; restart the stall budget from a zero view.
-  progress_at_last_interval_ = 0;
-  empty_intervals_ = 0;
-}
-
-int SenderCore::on_stall_interval() {
-  // Progress = unique packets known received, plus the completion
-  // signal itself (a completing-but-quiet interval is not a stall).
-  const std::int64_t progress = static_cast<std::int64_t>(acked_view_.count()) +
-                                (completion_received_ ? 1 : 0);
-  if (progress > progress_at_last_interval_) {
-    progress_at_last_interval_ = progress;
-    empty_intervals_ = 0;
-    return 0;
-  }
-  ++empty_intervals_;
-  if (tracer_ != nullptr) {
-    tracer_->record(telemetry::EventType::kStall, -1, empty_intervals_);
-  }
-  return empty_intervals_;
 }
 
 void SenderCore::update_adaptive_batch(const AckMessage& ack) {

@@ -75,29 +75,16 @@ class SenderCore {
   /// Returns the number of packets newly learned to be received.
   std::int64_t on_ack(const AckMessage& ack);
 
-  /// Folds a resume handshake — the receiver's full packed bitmap
-  /// (extract_range format, `nbits` packets from seq 0) — into the
-  /// local view, so a restarted pair skips already-received packets.
-  /// Returns the number of packets newly learned to be received, or -1
-  /// when `nbits` does not match this transfer's packet count.
+  /// Folds a resume frame (the receiver's packed bitmap, `nbits` packets
+  /// from seq 0) into the local view. Returns the packets newly learned
+  /// to be received, or -1 when `nbits` is not this transfer's count.
   std::int64_t on_resume(const std::uint8_t* packed, std::size_t packed_len,
                          std::int64_t nbits);
 
-  /// The control channel was re-established by a (possibly restarted)
-  /// receiver whose state is unknown: forget everything learned from
-  /// ACKs so every packet becomes eligible for retransmission again. A
-  /// restarted receiver that kept a checkpoint follows up with a resume
-  /// frame (see on_resume) restoring exactly the bits it still holds; a
-  /// from-scratch restart sends nothing and gets a full resend. For a
-  /// receiver that merely lost the TCP connection this only costs some
-  /// duplicate sends, which the receiver discards.
+  /// Forgets everything learned from ACKs, so every packet is eligible
+  /// for retransmission again: the receiver reconnected in an unknown
+  /// state (see SenderSession::on_control_connected).
   void on_peer_restart();
-
-  /// Progress-based stall detection: the driver calls this once per
-  /// stall interval. An interval with zero newly-acked packets (and no
-  /// completion) is "empty" and traced as a `stall` event; returns the
-  /// current streak of consecutive empty intervals (0 after progress).
-  int on_stall_interval();
 
   /// Records a send performed outside the selection policy (the TCP
   /// fallback channel): keeps the waste accounting truthful.
@@ -161,9 +148,6 @@ class SenderCore {
   GreedinessController adaptive_;
   std::int64_t sent_at_last_ack_ = 0;
   std::int64_t received_at_last_ack_ = 0;
-  // Stall-detection bookkeeping.
-  std::int64_t progress_at_last_interval_ = 0;
-  int empty_intervals_ = 0;
   SenderStats stats_;
   telemetry::EventTracer* tracer_ = nullptr;
 };

@@ -5,16 +5,8 @@
 #include <utility>
 
 #include "common/log.h"
-#include "telemetry/metrics.h"
 
 namespace fobs::core {
-
-namespace {
-fobs::net::TcpConfig control_channel_config() {
-  // The control channel moves a handful of bytes; defaults are fine.
-  return fobs::net::TcpConfig{};
-}
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // SimSender
@@ -24,15 +16,17 @@ SimSender::SimSender(Host& host, TransferSpec spec, SenderConfig config,
                      const std::uint8_t* data, NodeId receiver_node, PortId port_base)
     : host_(host),
       spec_(spec),
-      core_(spec, config),
+      session_(spec, config),
       data_(data),
       receiver_node_(receiver_node),
       port_base_(port_base),
       data_out_(host),
       ack_in_(host, static_cast<PortId>(port_base + kAckPortOffset)),
+      // The control channel moves a handful of bytes; TCP defaults are fine.
       completion_listener_(host, static_cast<PortId>(port_base + kCompletionPortOffset),
-                           control_channel_config(),
+                           fobs::net::TcpConfig{},
                            [this](std::unique_ptr<fobs::net::TcpConnection> conn) {
+                             session_.on_control_connected();
                              control_conn_ = std::move(conn);
                              control_conn_->set_on_message(
                                  [this](const std::any& m) { on_control_message(m); });
@@ -41,31 +35,25 @@ SimSender::SimSender(Host& host, TransferSpec spec, SenderConfig config,
 void SimSender::start() {
   if (started_) return;
   started_ = true;
-  if (auto* tracer = core_.tracer()) {
-    tracer->set_clock([this] { return host_.network().sim().now().ns(); });
-    tracer->record(telemetry::EventType::kTransferStart, -1, spec_.packet_count());
-  }
+  session_.begin_trace([this] { return host_.network().sim().now().ns(); });
   step();
+}
+
+std::int64_t SimSender::take_ack(const std::any& payload) {
+  const auto* ack = std::any_cast<AckPacketPayload>(&payload);
+  if (ack == nullptr || ack->ack == nullptr) return 0;
+  session_.on_ack(ack->corrupted ? nullptr : ack->ack.get());
+  return ack->ack->wire_bytes();
 }
 
 void SimSender::on_control_message(const std::any& message) {
   const auto* signal = std::any_cast<CompletionSignal>(&message);
-  if (signal == nullptr) return;
-  if (signal->corrupted) {
-    // A completion frame whose (modelled) checksum fails: discard it and
-    // keep the transfer alive rather than trusting a garbled "done".
-    telemetry::MetricsRegistry::global().counter("fobs.fault.corrupt_drops").inc();
-    if (auto* tracer = core_.tracer()) {
-      tracer->record(telemetry::EventType::kCorruptDrop, -1, 1);
-    }
-    return;
-  }
-  core_.on_completion_signal();
+  if (signal == nullptr || !session_.on_completion(signal->corrupted)) return;
   if (!finished_) {
     finished_ = true;
     finished_at_ = host_.network().sim().now();
     FOBS_DEBUG("fobs.sender", "completion signal at " << finished_at_.seconds() << "s, sent="
-                                                      << core_.stats().packets_sent);
+                                                      << session_.core().stats().packets_sent);
     if (on_finished_) on_finished_();
   }
 }
@@ -73,40 +61,32 @@ void SimSender::on_control_message(const std::any& message) {
 void SimSender::step() {
   if (finished_ || mode_ != Mode::kUdp) return;
   auto& sim = host_.network().sim();
+  SenderCore& core = session_.core();
   Duration busy = Duration::zero();
 
   // Phase 2: look for (but do not block on) one acknowledgement.
   if (auto pkt = ack_in_.try_recv()) {
-    const auto* payload = std::any_cast<AckPacketPayload>(&pkt->payload);
-    if (payload != nullptr && payload->ack != nullptr) {
-      busy += host_.cpu().recv_cost(fobs::util::DataSize::bytes(payload->ack->wire_bytes()));
-      if (payload->corrupted) {
-        ++corrupt_acks_dropped_;
-        telemetry::MetricsRegistry::global().counter("fobs.fault.corrupt_drops").inc();
-        if (auto* tracer = core_.tracer()) {
-          tracer->record(telemetry::EventType::kCorruptDrop, -1, corrupt_acks_dropped_);
-        }
-      } else {
-        core_.on_ack(*payload->ack);
-      }
+    if (const std::int64_t bytes = take_ack(pkt->payload); bytes > 0) {
+      busy += host_.cpu().recv_cost(fobs::util::DataSize::bytes(bytes));
     }
   }
 
   // §7 first option: sustained congestion hands the transfer to TCP.
-  if (core_.adaptive().congested()) {
+  if (core.adaptive().congested()) {
     enter_fallback();
     return;
   }
 
   // Phase 1: batch-send without blocking.
-  const int batch = core_.current_batch_size();
+  const int batch = core.current_batch_size();
   const std::int64_t max_payload = spec_.packet_bytes + kDataHeaderBytes;
   int sent_in_batch = 0;
-  for (int i = 0; i < batch; ++i) {
-    if (core_.all_acked()) break;
+  bool blocked = false;
+  for (int i = 0; i < batch && !core.all_acked(); ++i) {
     if (!data_out_.writable(max_payload)) {
       // Socket buffer full: wait for writability (the select() call),
-      // then continue the loop. CPU consumed so far still elapses.
+      // then continue the loop. This path does not reserve the CPU
+      // time (`busy`) the iteration has consumed so far.
       host_.notify_writable([this] {
         if (!step_scheduled_) {
           step_scheduled_ = true;
@@ -116,35 +96,22 @@ void SimSender::step() {
           });
         }
       });
-      if (sent_in_batch > 0 && core_.tracer() != nullptr) {
-        core_.tracer()->record(telemetry::EventType::kBatchSent, -1, sent_in_batch);
-      }
-      if (busy > Duration::zero()) {
-        // Model the CPU time of this iteration before the wait ends.
-        return;  // resume comes from the writability callback
-      }
-      return;
+      blocked = true;
+      break;
     }
-    const auto seq = core_.select_next();
+    const auto seq = core.select_next();
     if (!seq) break;
     const std::int64_t len = spec_.payload_bytes(*seq);
     DataPacketPayload payload;
     payload.seq = *seq;
     payload.len = static_cast<std::int32_t>(len);
     payload.data = data_ != nullptr ? data_ + spec_.offset_of(*seq) : nullptr;
-    // The injector models in-flight damage: a dropped packet is sent by
-    // the core's accounting but never reaches the wire, a corrupted one
+    // The plan models in-flight damage: a dropped packet is sent by the
+    // core's accounting but never reaches the wire, a corrupted one
     // arrives with a failing checksum, a duplicated one arrives twice.
-    int copies = 1;
-    if (faults_ != nullptr) {
-      switch (faults_->next(fobs::net::FaultChannel::kData)) {
-        case fobs::net::FaultAction::kDrop: copies = 0; break;
-        case fobs::net::FaultAction::kCorrupt: payload.corrupted = true; break;
-        case fobs::net::FaultAction::kDuplicate: copies = 2; break;
-        case fobs::net::FaultAction::kPass: break;
-      }
-    }
-    for (int copy = 0; copy < copies; ++copy) {
+    const DatagramFate fate = session_.next_data_fate();
+    payload.corrupted = fate.corrupt;
+    for (int copy = 0; copy < fate.copies; ++copy) {
       const bool ok =
           data_out_.send_to(receiver_node_, static_cast<PortId>(port_base_ + kDataPortOffset),
                             len + kDataHeaderBytes, payload);
@@ -154,11 +121,12 @@ void SimSender::step() {
     ++sent_in_batch;
     busy += host_.cpu().send_cost(fobs::util::DataSize::bytes(len + kDataHeaderBytes));
   }
-  if (sent_in_batch > 0 && core_.tracer() != nullptr) {
-    core_.tracer()->record(telemetry::EventType::kBatchSent, -1, sent_in_batch);
+  if (sent_in_batch > 0 && core.tracer() != nullptr) {
+    core.tracer()->record(telemetry::EventType::kBatchSent, -1, sent_in_batch);
   }
+  if (blocked) return;  // resume comes from the writability callback
 
-  if (core_.all_acked()) {
+  if (core.all_acked()) {
     // Everything acked in the local view: idle until either a (stray)
     // ACK or the completion signal arrives.
     ack_in_.set_rx_notify([this] { step(); });
@@ -170,7 +138,7 @@ void SimSender::step() {
   // greediness controller requests (idle, not CPU). A tiny floor keeps
   // the loop from spinning in zero simulated time.
   const auto resume =
-      host_.reserve_cpu(std::max(busy, Duration::nanoseconds(500))) + core_.pacing_gap();
+      host_.reserve_cpu(std::max(busy, Duration::nanoseconds(500))) + core.pacing_gap();
   sim.schedule_at(resume, [this] { step(); });
 }
 
@@ -182,6 +150,7 @@ void SimSender::step() {
 
 void SimSender::enter_fallback() {
   if (mode_ == Mode::kTcpFallback || finished_) return;
+  const SenderCore& core = session_.core();
   mode_ = Mode::kTcpFallback;
   ++fallback_episodes_;
   // Note: tcp_cursor_ is intentionally NOT reset — packets offered to
@@ -189,27 +158,27 @@ void SimSender::enter_fallback() {
   // there, and re-offering them would be pure duplication.
   probe_clear_streak_ = 0;
   FOBS_INFO("fobs.sender", "entering TCP fallback (loss estimate "
-                               << core_.adaptive().loss_estimate() << ")");
-  if (auto* tracer = core_.tracer()) {
+                               << core.adaptive().loss_estimate() << ")");
+  if (auto* tracer = core.tracer()) {
     tracer->record(telemetry::EventType::kFallbackEnter, -1, fallback_episodes_);
   }
   auto& sim = host_.network().sim();
   if (tcp_data_ == nullptr) {
-    tcp_data_ = std::make_unique<fobs::net::TcpConnection>(host_, control_channel_config());
+    tcp_data_ = std::make_unique<fobs::net::TcpConnection>(host_, fobs::net::TcpConfig{});
     tcp_data_->connect(receiver_node_,
                        static_cast<PortId>(port_base_ + kTcpDataPortOffset));
   }
   probe_rtx_snapshot_ = tcp_data_->stats().retransmissions;
   pump_tcp();
-  sim.schedule_in(core_.config().adaptive.fallback_probe_interval, [this] { probe_tick(); });
+  sim.schedule_in(core.config().adaptive.fallback_probe_interval, [this] { probe_tick(); });
 }
 
 void SimSender::exit_fallback() {
   if (mode_ != Mode::kTcpFallback) return;
   mode_ = Mode::kUdp;
-  core_.reset_adaptive();
+  session_.core().reset_adaptive();
   FOBS_INFO("fobs.sender", "congestion dissipated; resuming greedy UDP");
-  if (auto* tracer = core_.tracer()) {
+  if (auto* tracer = session_.core().tracer()) {
     tracer->record(telemetry::EventType::kFallbackExit, -1, packets_via_tcp_);
   }
   step();
@@ -217,17 +186,18 @@ void SimSender::exit_fallback() {
 
 void SimSender::pump_tcp() {
   if (finished_ || mode_ != Mode::kTcpFallback) return;
-  const auto& adaptive = core_.config().adaptive;
+  SenderCore& core = session_.core();
+  const auto& adaptive = core.config().adaptive;
   if (tcp_data_->established()) {
     while (true) {
       const std::int64_t outstanding = tcp_data_->offered_bytes() - tcp_data_->acked_bytes();
       if (outstanding >= adaptive.fallback_window_bytes) break;
-      auto seq = core_.acked_view().first_clear(static_cast<std::size_t>(tcp_cursor_));
+      auto seq = core.acked_view().first_clear(static_cast<std::size_t>(tcp_cursor_));
       if (!seq && outstanding == 0) {
         // One full pass done and nothing in flight: any remaining holes
         // mean the FOBS acks lag; rescan from the start.
         tcp_cursor_ = 0;
-        seq = core_.acked_view().first_clear(0);
+        seq = core.acked_view().first_clear(0);
       }
       if (!seq) break;
       tcp_cursor_ = static_cast<PacketSeq>(*seq) + 1;
@@ -236,29 +206,19 @@ void SimSender::pump_tcp() {
       payload.seq = static_cast<PacketSeq>(*seq);
       payload.len = static_cast<std::int32_t>(len);
       payload.data = data_ != nullptr ? data_ + spec_.offset_of(payload.seq) : nullptr;
-      core_.record_external_send(payload.seq);
+      core.record_external_send(payload.seq);
       ++packets_via_tcp_;
       tcp_data_->send_message(len + kDataHeaderBytes, payload);
     }
   }
   // Fold in any FOBS acknowledgements that arrived meanwhile.
-  while (auto pkt = ack_in_.try_recv()) {
-    if (const auto* ack = std::any_cast<AckPacketPayload>(&pkt->payload)) {
-      if (ack->ack == nullptr) continue;
-      if (ack->corrupted) {
-        ++corrupt_acks_dropped_;
-        telemetry::MetricsRegistry::global().counter("fobs.fault.corrupt_drops").inc();
-        continue;
-      }
-      core_.on_ack(*ack->ack);
-    }
-  }
+  while (auto pkt = ack_in_.try_recv()) take_ack(pkt->payload);
   host_.network().sim().schedule_in(Duration::milliseconds(2), [this] { pump_tcp(); });
 }
 
 void SimSender::probe_tick() {
   if (finished_ || mode_ != Mode::kTcpFallback) return;
-  const auto& adaptive = core_.config().adaptive;
+  const auto& adaptive = session_.core().config().adaptive;
   const std::uint64_t rtx = tcp_data_->stats().retransmissions;
   if (rtx == probe_rtx_snapshot_) {
     ++probe_clear_streak_;
@@ -283,15 +243,17 @@ SimReceiver::SimReceiver(Host& host, TransferSpec spec, ReceiverConfig config,
                          std::int64_t socket_buffer_bytes, PortId port_base)
     : host_(host),
       spec_(spec),
-      core_(spec, config),
+      // The simulator's one fault plan has its data schedule drawn by
+      // the sender.
+      session_(spec, config, /*draws_data_faults=*/false),
       buffer_(buffer),
       sender_node_(sender_node),
       port_base_(port_base),
       data_in_(host, static_cast<PortId>(port_base + kDataPortOffset), socket_buffer_bytes),
       ack_out_(host),
-      control_conn_(host, control_channel_config()),
+      control_conn_(host, fobs::net::TcpConfig{}),
       fallback_listener_(host, static_cast<PortId>(port_base + kTcpDataPortOffset),
-                         control_channel_config(),
+                         fobs::net::TcpConfig{},
                          [this](std::unique_ptr<fobs::net::TcpConnection> conn) {
                            fallback_conn_ = std::move(conn);
                            fallback_conn_->set_on_message(
@@ -301,10 +263,7 @@ SimReceiver::SimReceiver(Host& host, TransferSpec spec, ReceiverConfig config,
 void SimReceiver::start() {
   if (started_) return;
   started_ = true;
-  if (auto* tracer = core_.tracer()) {
-    tracer->set_clock([this] { return host_.network().sim().now().ns(); });
-    tracer->record(telemetry::EventType::kTransferStart, -1, spec_.packet_count());
-  }
+  session_.begin_trace([this] { return host_.network().sim().now().ns(); });
   control_conn_.connect(sender_node_,
                         static_cast<PortId>(port_base_ + kCompletionPortOffset));
   step();
@@ -314,25 +273,12 @@ Duration SimReceiver::process_packet(const DataPacketPayload& payload) {
   auto& sim = host_.network().sim();
   Duration busy =
       host_.cpu().recv_cost(fobs::util::DataSize::bytes(payload.len + kDataHeaderBytes));
-  if (crashed_) return busy;
-  if (faults_ != nullptr && faults_->crash_due()) {
-    // Peer-crash point reached: this incarnation goes silent without
-    // cleanup (no ACKs, no completion), exactly like a killed process.
-    crashed_ = true;
-    FOBS_INFO("fobs.receiver", "fault plan crash point reached; going silent");
-    return busy;
-  }
-  if (payload.corrupted) {
-    // Checksum-failing packet: reject before it can touch the object
-    // buffer, count it, and rely on retransmission for the real bytes.
-    ++corrupt_data_dropped_;
-    telemetry::MetricsRegistry::global().counter("fobs.fault.corrupt_drops").inc();
-    if (auto* tracer = core_.tracer()) {
-      tracer->record(telemetry::EventType::kCorruptDrop, payload.seq, corrupt_data_dropped_);
-    }
-    return busy;
-  }
-  const auto result = core_.on_data_packet(payload.seq);
+  // Past the crash point this incarnation is silent without cleanup (no
+  // ACKs, no completion), exactly like a killed process.
+  if (session_.crash_due()) return busy;
+  const ReceiverCore& core = session_.core();
+  const auto result = session_.admit(payload.seq, !payload.corrupted);
+  if (payload.corrupted) return busy;
   if (result.newly_received && buffer_ != nullptr && payload.data != nullptr) {
     std::memcpy(buffer_ + spec_.offset_of(payload.seq), payload.data,
                 static_cast<std::size_t>(payload.len));
@@ -341,20 +287,12 @@ Duration SimReceiver::process_packet(const DataPacketPayload& payload) {
     // Building + sending the ACK stalls the poll loop — the Figure 1
     // mechanism. The ACK itself is best-effort UDP.
     busy += host_.cpu().ack_build;
-    auto ack = std::make_shared<const AckMessage>(core_.make_ack());
+    auto out = session_.next_ack();
+    auto ack = std::make_shared<const AckMessage>(std::move(out.message));
     const std::int64_t bytes = ack->wire_bytes();
-    AckPacketPayload ack_payload{std::move(ack)};
-    int copies = 1;
-    if (faults_ != nullptr) {
-      switch (faults_->next(fobs::net::FaultChannel::kAck)) {
-        case fobs::net::FaultAction::kDrop: copies = 0; break;
-        case fobs::net::FaultAction::kCorrupt: ack_payload.corrupted = true; break;
-        case fobs::net::FaultAction::kDuplicate: copies = 2; break;
-        case fobs::net::FaultAction::kPass: break;
-      }
-    }
-    bool wire_ok = copies == 0;  // an injector-eaten ACK still "sent" fine
-    for (int copy = 0; copy < copies; ++copy) {
+    AckPacketPayload ack_payload{std::move(ack), out.fate.corrupt};
+    bool wire_ok = out.fate.copies == 0;  // an injector-eaten ACK still "sent" fine
+    for (int copy = 0; copy < out.fate.copies; ++copy) {
       if (ack_out_.send_to(sender_node_, static_cast<PortId>(port_base_ + kAckPortOffset),
                            bytes, ack_payload)) {
         wire_ok = true;
@@ -363,7 +301,7 @@ Duration SimReceiver::process_packet(const DataPacketPayload& payload) {
     if (wire_ok) {
       ++acks_sent_;
       busy += host_.cpu().send_cost(fobs::util::DataSize::bytes(bytes));
-      if (auto* tracer = core_.tracer()) {
+      if (auto* tracer = core.tracer()) {
         tracer->record(telemetry::EventType::kAckSent,
                        static_cast<std::int64_t>(acks_sent_), bytes);
       }
@@ -371,7 +309,7 @@ Duration SimReceiver::process_packet(const DataPacketPayload& payload) {
   }
   // Packets that overflowed the socket buffer while this loop was busy
   // (placing packets, building the ACK) are the paper's Figure 1 loss.
-  if (auto* tracer = core_.tracer()) {
+  if (auto* tracer = core.tracer()) {
     const std::uint64_t drops = data_in_.stats().rx_overflow_drops;
     if (drops > traced_drops_) {
       tracer->record(telemetry::EventType::kDropWhileAcking, -1,
@@ -381,16 +319,9 @@ Duration SimReceiver::process_packet(const DataPacketPayload& payload) {
   }
   if (result.just_completed) {
     completed_at_ = sim.now();
-    CompletionSignal signal{core_.stats().packets_received};
-    bool deliver = true;
-    if (faults_ != nullptr) {
-      switch (faults_->next(fobs::net::FaultChannel::kControl)) {
-        case fobs::net::FaultAction::kDrop: deliver = false; break;
-        case fobs::net::FaultAction::kCorrupt: signal.corrupted = true; break;
-        default: break;
-      }
-    }
-    if (deliver) control_conn_.send_message(kCompletionSignalBytes, signal);
+    const DatagramFate fate = session_.completion_fate();
+    const CompletionSignal signal{core.stats().packets_received, fate.corrupt};
+    if (fate.copies > 0) control_conn_.send_message(kCompletionSignalBytes, signal);
     FOBS_DEBUG("fobs.receiver", "object complete at " << completed_at_.seconds() << "s");
   }
   return busy;
@@ -407,7 +338,7 @@ void SimReceiver::on_tcp_data(const std::any& message) {
 }
 
 void SimReceiver::step() {
-  if (crashed_) return;  // a crashed incarnation never polls again
+  if (session_.crashed()) return;  // a crashed incarnation never polls again
   auto& sim = host_.network().sim();
   auto pkt = data_in_.try_recv();
   if (!pkt) {

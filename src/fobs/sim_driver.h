@@ -17,13 +17,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
 
-#include "fobs/receiver_core.h"
-#include "fobs/sender_core.h"
+#include "fobs/session.h"
 #include "fobs/wire.h"
 #include "host/host.h"
-#include "net/faults.h"
 #include "net/tcp.h"
 #include "net/udp.h"
 
@@ -58,31 +55,17 @@ class SimSender {
   /// Starts the send loop (call after the receiver exists).
   void start();
 
-  /// Attaches a per-transfer event tracer (must outlive the driver).
-  /// `start()` installs the sim clock on it and records transfer_start;
-  /// the driver adds batch/fallback events on top of the core's.
-  void set_tracer(telemetry::EventTracer* tracer) { core_.set_tracer(tracer); }
+  /// The recovery session. Attach a tracer and a fault injector (may be
+  /// shared with the receiver) here before start(), which installs the
+  /// sim clock on the tracer; the driver adds batch and fallback events.
+  [[nodiscard]] SenderSession& session() { return session_; }
+  [[nodiscard]] const SenderSession& session() const { return session_; }
 
-  /// Attaches a fault injector (must outlive the driver; may be shared
-  /// with the receiver). The sender consults the data-channel schedule
-  /// before every datagram send and rejects checksum-failing ACKs.
-  void set_fault_injector(fobs::net::FaultInjector* faults) { faults_ = faults; }
-
-  /// Progress check for stall detection; forwards to the core.
-  int on_stall_interval() { return core_.on_stall_interval(); }
-
-  /// ACKs rejected because their (modelled) checksum failed.
-  [[nodiscard]] std::int64_t corrupt_acks_dropped() const { return corrupt_acks_dropped_; }
-
-  [[nodiscard]] const SenderCore& core() const { return core_; }
+  [[nodiscard]] const SenderCore& core() const { return session_.core(); }
   [[nodiscard]] bool finished() const { return finished_; }
   [[nodiscard]] TimePoint finished_at() const { return finished_at_; }
-  [[nodiscard]] const fobs::net::UdpStats& data_udp_stats() const {
-    return data_out_.stats();
-  }
   /// §7 TCP-fallback diagnostics.
   [[nodiscard]] int fallback_episodes() const { return fallback_episodes_; }
-  [[nodiscard]] bool in_fallback() const { return mode_ == Mode::kTcpFallback; }
   [[nodiscard]] std::int64_t packets_sent_via_tcp() const { return packets_via_tcp_; }
 
   void set_on_finished(std::function<void()> cb) { on_finished_ = std::move(cb); }
@@ -91,6 +74,9 @@ class SimSender {
   enum class Mode { kUdp, kTcpFallback };
 
   void step();
+  /// Hands one ACK datagram's payload to the session; returns its wire
+  /// bytes, or 0 when the payload is not an ACK.
+  std::int64_t take_ack(const std::any& payload);
   void on_control_message(const std::any& message);
   void enter_fallback();
   void exit_fallback();
@@ -99,7 +85,7 @@ class SimSender {
 
   Host& host_;
   TransferSpec spec_;
-  SenderCore core_;
+  SenderSession session_;
   const std::uint8_t* data_;
   NodeId receiver_node_;
   PortId port_base_;
@@ -113,8 +99,6 @@ class SimSender {
   TimePoint finished_at_;
   std::function<void()> on_finished_;
   // --- §7 TCP-fallback state ---
-  fobs::net::FaultInjector* faults_ = nullptr;
-  std::int64_t corrupt_acks_dropped_ = 0;
   Mode mode_ = Mode::kUdp;
   std::unique_ptr<fobs::net::TcpConnection> tcp_data_;
   PacketSeq tcp_cursor_ = 0;
@@ -138,27 +122,14 @@ class SimReceiver {
   /// Opens the TCP control connection and starts polling.
   void start();
 
-  /// Attaches a per-transfer event tracer (must outlive the driver).
-  /// `start()` installs the sim clock on it; the driver adds ack_sent
-  /// and drop_while_acking events on top of the core's.
-  void set_tracer(telemetry::EventTracer* tracer) { core_.set_tracer(tracer); }
+  /// The recovery session, as for SimSender; the driver adds ack_sent
+  /// and drop_while_acking events. With a fault plan the receiver goes
+  /// silent at its crash point; the data schedule is the sender's.
+  [[nodiscard]] ReceiverSession& session() { return session_; }
+  [[nodiscard]] const ReceiverSession& session() const { return session_; }
 
-  /// Attaches a fault injector (must outlive the driver; may be shared
-  /// with the sender). The receiver rejects corrupted data packets,
-  /// applies the ACK/control schedules to its outgoing messages, and
-  /// crashes (goes silent) at the plan's crash point.
-  void set_fault_injector(fobs::net::FaultInjector* faults) { faults_ = faults; }
-
-  /// Progress check for stall detection; forwards to the core.
-  int on_stall_interval() { return core_.on_stall_interval(); }
-
-  /// Data packets rejected because their (modelled) checksum failed.
-  [[nodiscard]] std::int64_t corrupt_data_dropped() const { return corrupt_data_dropped_; }
-  /// True once the fault plan's crash point has fired.
-  [[nodiscard]] bool crashed() const { return crashed_; }
-
-  [[nodiscard]] const ReceiverCore& core() const { return core_; }
-  [[nodiscard]] bool complete() const { return core_.complete(); }
+  [[nodiscard]] const ReceiverCore& core() const { return session_.core(); }
+  [[nodiscard]] bool complete() const { return session_.core().complete(); }
   [[nodiscard]] TimePoint completed_at() const { return completed_at_; }
   /// Packets dropped because the socket buffer overflowed while the
   /// receiver was busy.
@@ -174,7 +145,7 @@ class SimReceiver {
 
   Host& host_;
   TransferSpec spec_;
-  ReceiverCore core_;
+  ReceiverSession session_;
   std::uint8_t* buffer_;
   NodeId sender_node_;
   PortId port_base_;
@@ -183,9 +154,6 @@ class SimReceiver {
   fobs::net::TcpConnection control_conn_;
   fobs::net::TcpListener fallback_listener_;
   std::unique_ptr<fobs::net::TcpConnection> fallback_conn_;
-  fobs::net::FaultInjector* faults_ = nullptr;
-  std::int64_t corrupt_data_dropped_ = 0;
-  bool crashed_ = false;
   bool started_ = false;
   TimePoint completed_at_;
   std::uint64_t acks_sent_ = 0;

@@ -43,8 +43,8 @@ SimTransferResult run_sim_transfer(fobs::sim::Network& network, fobs::host::Host
   SimReceiver receiver(receiver_host, config.spec, config.receiver,
                        config.carry_data ? sink.data() : nullptr, sender_host.id(),
                        config.receiver_socket_buffer_bytes);
-  if (config.sender_tracer != nullptr) sender.set_tracer(config.sender_tracer);
-  if (config.receiver_tracer != nullptr) receiver.set_tracer(config.receiver_tracer);
+  sender.session().set_tracer(config.sender_tracer);
+  receiver.session().set_tracer(config.receiver_tracer);
 
   // One injector shared by both drivers, so a single plan describes the
   // whole path: the sender applies the data schedule, the receiver the
@@ -52,8 +52,8 @@ SimTransferResult run_sim_transfer(fobs::sim::Network& network, fobs::host::Host
   std::optional<fobs::net::FaultInjector> faults;
   if (!config.fault_plan.empty()) {
     faults.emplace(config.fault_plan);
-    sender.set_fault_injector(&*faults);
-    receiver.set_fault_injector(&*faults);
+    sender.session().set_fault_injector(&*faults);
+    receiver.session().set_fault_injector(&*faults);
   }
 
   bool done = false;
@@ -62,29 +62,26 @@ SimTransferResult run_sim_transfer(fobs::sim::Network& network, fobs::host::Host
   receiver.start();
   sender.start();
 
-  // Stall detection: progress checks run inline between event steps (no
-  // extra sim events, so clean-run schedules — and the golden packet
-  // counts — are untouched). A transfer dies only after
-  // `stall_intervals` consecutive empty checks on the sender alongside
-  // an empty-or-complete receiver; the flat deadline stays as backstop.
+  // Stall detection runs inline between event steps (no extra sim
+  // events, so clean-run schedules and the golden packet counts are
+  // untouched). A transfer dies only once the sender's stall budget is
+  // spent alongside an exhausted-or-complete receiver's; the flat
+  // deadline stays as backstop.
   const int stall_limit = std::max(1, config.stall_intervals);
-  const Duration stall_interval = config.timeout / stall_limit;
-  TimePoint next_check = start + stall_interval;
+  const std::int64_t stall_interval_ns = (config.timeout / stall_limit).ns();
+  sender.session().arm_stall_clock(0, stall_interval_ns, stall_limit);
+  receiver.session().arm_stall_clock(0, stall_interval_ns, stall_limit);
   bool stalled = false;
-  int sender_streak = 0;
-  int receiver_streak = 0;
   while (!done) {
     // Run stall checks due at or before now first: the final check of a
     // zero-progress run lands exactly on the deadline and must fire
     // before the flat backstop below declares a plain timeout.
-    while (next_check <= sim.now()) {
-      sender_streak = sender.on_stall_interval();
-      receiver_streak = receiver.on_stall_interval();
-      next_check = next_check + stall_interval;
-    }
-    if (sender_streak >= stall_limit &&
-        (receiver_streak >= stall_limit || receiver.complete())) {
+    const std::int64_t now_ns = (sim.now() - start).ns();
+    const bool sender_stalled = sender.session().stall_expired(now_ns);
+    const bool receiver_stalled = receiver.session().stall_expired(now_ns);
+    if (sender_stalled && (receiver_stalled || receiver.complete())) {
       stalled = true;
+      sender.session().give_up();
       break;
     }
     if (sim.now() >= deadline) break;
@@ -108,7 +105,8 @@ SimTransferResult run_sim_transfer(fobs::sim::Network& network, fobs::host::Host
   result.receiver_socket_drops = receiver.socket_drops();
   result.acks_sent = receiver.acks_sent();
   result.duplicates_at_receiver = receiver.core().stats().duplicates;
-  result.corrupt_drops = sender.corrupt_acks_dropped() + receiver.corrupt_data_dropped();
+  result.corrupt_drops = sender.session().stats().corrupt_acks_dropped +
+                         receiver.session().stats().corrupt_packets_dropped;
   result.stalled = stalled;
   if (receiver.complete()) {
     result.receiver_elapsed = receiver.completed_at() - start;

@@ -412,7 +412,6 @@ StripedResult TransferEngine::launch_striped_receive(const StripedReceiverOption
     session.control_port = launch.control_ports[static_cast<std::size_t>(i)];
     session.core = options.core;
     session.checkpoint_path = options.checkpoint_base;
-    session.checkpoint_every_acks = options.checkpoint_every_acks;
     session.endpoint = stripe_endpoint(options.endpoint, options.stripe_fault_plans, i);
     session.stripe = {plan, i};
     handles.push_back(submit_receive(session, buffer));

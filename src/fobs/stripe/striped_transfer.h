@@ -96,7 +96,6 @@ struct StripedReceiverOptions {
   /// the whole object. Pair it with a file-backed buffer exactly as for
   /// single-flow checkpoints.
   std::string checkpoint_base;
-  int checkpoint_every_acks = 16;
   /// Fall back to the 1-stripe plan when the peer rejects (or
   /// predates) FOBSSTRP. When false such peers yield kPeerLost.
   bool allow_single_flow_fallback = true;

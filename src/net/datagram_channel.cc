@@ -282,11 +282,6 @@ bool DatagramChannel::send_batch(std::span<const DatagramView> batch, const sock
   return true;
 }
 
-bool DatagramChannel::send_one(const DatagramView& datagram, const sockaddr_in& dest,
-                               std::string* error) {
-  return send_batch({&datagram, 1}, dest, error);
-}
-
 int DatagramChannel::recv_batch(std::span<RecvView> out, std::string* error) {
   if (fd_ < 0) {
     if (error != nullptr) *error = "channel not open";

@@ -133,7 +133,6 @@ class DatagramChannel {
   /// sent.
   bool send_batch(std::span<const DatagramView> batch, const sockaddr_in& dest,
                   std::string* error);
-  bool send_one(const DatagramView& datagram, const sockaddr_in& dest, std::string* error);
 
   /// Non-blocking drain: fills up to min(out.size(), recv_batch) views
   /// from one receive syscall. Returns the count, 0 when the socket has

@@ -117,7 +117,6 @@ class FaultInjector {
                plan_.crash_at_packet;
   }
 
-  [[nodiscard]] const FaultPlan& plan() const { return plan_; }
   [[nodiscard]] const FaultStats& stats(FaultChannel channel) const {
     return stats_[static_cast<std::size_t>(channel)];
   }

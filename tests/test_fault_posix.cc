@@ -301,7 +301,6 @@ TransferPair run_crash_restart(int port_offset, bool resume,
   recv_opts.core.ack_frequency = 16;
   recv_opts.endpoint.timeout_ms = 30'000;
   recv_opts.checkpoint_path = checkpoint_path;
-  recv_opts.checkpoint_every_acks = 4;
 
   posix::SenderOptions send_opts;
   send_opts.data_port = recv_opts.data_port;
@@ -371,7 +370,9 @@ TEST(FaultPosixResume, RestartedReceiverResumesFromCheckpoint) {
 TEST(FaultPosixResume, CheckpointIsRemovedAfterCompletion) {
   const std::string checkpoint_path = ::testing::TempDir() + "fobs_resume_cleanup.ckpt";
   posix::remove_striped_checkpoints(checkpoint_path);
-  const auto object = core::make_pattern(128 * 1024, 0xFACE);
+  // 1 MiB at 1 KiB packets: 64 ACKs, so four records are saved before
+  // completion removes them.
+  const auto object = core::make_pattern(1024 * 1024, 0xFACE);
   std::vector<std::uint8_t> sink(object.size(), 0);
 
   posix::ReceiverOptions recv_opts;
@@ -380,7 +381,6 @@ TEST(FaultPosixResume, CheckpointIsRemovedAfterCompletion) {
   recv_opts.core.ack_frequency = 16;
   recv_opts.endpoint.timeout_ms = 30'000;
   recv_opts.checkpoint_path = checkpoint_path;
-  recv_opts.checkpoint_every_acks = 1;
 
   posix::SenderOptions send_opts;
   send_opts.data_port = recv_opts.data_port;

@@ -5,7 +5,9 @@
 
 #include "exp/testbeds.h"
 #include "fobs/sim_driver.h"
+#include "net/faults.h"
 #include "sim/cross_traffic.h"
+#include "telemetry/trace.h"
 
 namespace fobs {
 namespace {
@@ -16,10 +18,15 @@ struct FallbackRun {
   std::int64_t via_tcp = 0;
   bool receiver_complete = false;
   double waste = 0.0;
+  std::int64_t corrupt_acks = 0;
 };
 
+/// `faults` and `sender_tracer` (both nullable) are attached to the
+/// drivers when given.
 FallbackRun run_with_overload(bool tcp_fallback, int extra_sources,
-                              util::Duration episode_end = util::Duration::zero()) {
+                              util::Duration episode_end = util::Duration::zero(),
+                              net::FaultInjector* faults = nullptr,
+                              telemetry::EventTracer* sender_tracer = nullptr) {
   auto spec = exp::spec_for(exp::PathId::kGigabitContended);
   spec.cross_sources = 8;
   spec.cross_peak = util::DataRate::megabits_per_second(150);
@@ -50,6 +57,11 @@ FallbackRun run_with_overload(bool tcp_fallback, int extra_sources,
   core::SimSender sender(bed.src(), transfer, sender_config, nullptr, bed.dst().id());
   core::SimReceiver receiver(bed.dst(), transfer, receiver_config, nullptr, bed.src().id(),
                              64 * 1024);
+  if (faults != nullptr) {
+    sender.session().set_fault_injector(faults);
+    receiver.session().set_fault_injector(faults);
+  }
+  sender.session().set_tracer(sender_tracer);
   FallbackRun run;
   sender.set_on_finished([&run] { run.done = true; });
   receiver.start();
@@ -60,6 +72,7 @@ FallbackRun run_with_overload(bool tcp_fallback, int extra_sources,
   run.via_tcp = sender.packets_sent_via_tcp();
   run.receiver_complete = receiver.complete();
   run.waste = sender.core().waste();
+  run.corrupt_acks = sender.session().stats().corrupt_acks_dropped;
   return run;
 }
 
@@ -84,6 +97,23 @@ TEST(FobsTcpFallback, TransientEpisodeStillCompletesExactly) {
   EXPECT_TRUE(run.done);
   EXPECT_TRUE(run.receiver_complete);
   EXPECT_GE(run.waste, 0.0);
+}
+
+TEST(FobsTcpFallback, CorruptAcksAreTracedInAndOutOfFallback) {
+  // Corrupt ACKs reach the sender both from its UDP loop and while the
+  // TCP fallback folds ACKs in (a quarter of all ACKs are corrupt, so
+  // both paths see some); each one is counted and traced once.
+  std::string error;
+  const auto plan = net::FaultPlan::parse("seed=9;ack.corrupt=0.25", &error);
+  ASSERT_TRUE(plan.has_value()) << error;
+  net::FaultInjector faults(*plan);
+  telemetry::EventTracer trace;
+  const auto run = run_with_overload(/*tcp_fallback=*/true, /*extra_sources=*/4,
+                                     util::Duration::zero(), &faults, &trace);
+  EXPECT_TRUE(run.done);
+  EXPECT_GE(run.episodes, 1);
+  ASSERT_GT(run.corrupt_acks, 0);
+  EXPECT_EQ(trace.count(telemetry::EventType::kCorruptDrop), run.corrupt_acks);
 }
 
 }  // namespace
