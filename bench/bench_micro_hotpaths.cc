@@ -29,6 +29,7 @@
 #include "fobs/selection.h"
 #include "fobs/sender_core.h"
 #include "net/datagram_channel.h"
+#include "net/socket.h"
 #include "net/seq_range_set.h"
 #include "sim/simulation.h"
 
@@ -205,7 +206,7 @@ IoRunResult pump_loopback(fobs::net::IoMode mode, int count, std::size_t datagra
   }
   sockaddr_in dest{};
   dest.sin_family = AF_INET;
-  dest.sin_port = htons(rx.local_port());
+  dest.sin_port = htons(fobs::net::local_port(rx.fd()));
   ::inet_pton(AF_INET, "127.0.0.1", &dest.sin_addr);
 
   std::atomic<bool> stop{false};

@@ -25,7 +25,6 @@
 namespace {
 
 constexpr std::uint16_t kNegotiationPort = 47101;
-constexpr std::uint16_t kDataPortBase = 47200;
 constexpr std::uint16_t kControlPortBase = 47300;
 constexpr std::int64_t kPacketBytes = 8 * 1024;
 
@@ -63,7 +62,6 @@ StripeRun run_once(int stripes, const fobs::core::TransferObject& object,
 
   StripedReceiverOptions recv;
   recv.negotiation_port = kNegotiationPort;
-  recv.data_port_base = kDataPortBase;
   recv.stripes = stripes;
   recv.endpoint.packet_bytes = kPacketBytes;
   const StripedResult receiver_result = receiver_engine.run_striped_receiver(recv, scratch);

@@ -22,7 +22,8 @@
 // fixed range [port+1, port+33), so a firewall can open exactly that
 // range; at most 32 of them listen at once, and further requests are
 // refused until one frees. `demo` lets the kernel choose the catalog
-// and control ports.
+// and control ports, and every fetch binds kernel-chosen UDP data ports
+// before its request names them.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -71,13 +72,12 @@ int run_server(const std::string& dir, std::uint16_t port, int max_stripes) {
 }
 
 int run_fetch(const std::string& host, std::uint16_t port, const std::string& name,
-              const std::string& out_path, std::uint16_t data_port, int stripes) {
+              const std::string& out_path, int stripes) {
   fobs::posix::FetchOptions options;
   options.host = host;
   options.catalog_port = port;
   options.name = name;
   options.out_path = out_path;
-  options.data_port = data_port;
   options.stripes = stripes;
   fobs::telemetry::EventTracer trace;
   if (!trace_dir().empty()) options.endpoint.tracer = &trace;
@@ -131,8 +131,6 @@ int run_demo(int stripes) {
       options.catalog_port = catalog_port;
       options.name = "dataset" + std::to_string(i) + ".bin";
       options.out_path = dir + "/fetched" + std::to_string(i) + ".bin";
-      // Each client needs `stripes` contiguous UDP ports.
-      options.data_port = static_cast<std::uint16_t>(39200 + i * 16);
       options.stripes = stripes;
       fetches[i] = fobs::posix::fetch_file(options);
       rcs[i] = fetches[i].completed() ? 0 : 1;
@@ -183,7 +181,7 @@ int main(int argc, char** argv) {
   }
   if (mode == "fetch" && args.size() == 5) {
     return run_fetch(args[1], static_cast<std::uint16_t>(std::atoi(args[2].c_str())), args[3],
-                     args[4], /*data_port=*/39200, stripes);
+                     args[4], stripes);
   }
   std::printf(
       "usage:\n  %s demo [--stripes N]\n  %s serve <dir> <port> [--stripes N]\n"

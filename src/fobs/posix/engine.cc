@@ -34,7 +34,7 @@ struct Session {
   std::span<const std::uint8_t> object;
   std::span<std::uint8_t> buffer;
   std::shared_ptr<void> keepalive;
-  net::Fd listener;  ///< sender only; closed before the session turns terminal
+  net::Fd socket;  ///< closed (or handed to the driver) before the session turns terminal
   std::function<void(const TransferHandle&)> on_exit;
 
   /// Polled by the driver loop once per iteration.
@@ -156,7 +156,7 @@ TransferEngine::~TransferEngine() {
 TransferHandle TransferEngine::submit(std::shared_ptr<detail::Session> session,
                                       SessionParams params) {
   session->keepalive = std::move(params.keepalive);
-  session->listener = std::move(params.listener);
+  session->socket = std::move(params.socket);
   session->on_exit = std::move(params.on_exit);
   {
     std::lock_guard lock(impl_->mu);
@@ -181,11 +181,11 @@ TransferHandle TransferEngine::submit_send(const SenderOptions& options,
   // waits for a worker lands in the backlog instead of being refused.
   // A failed bind leaves no listener, which the session reports as a
   // socket error; port 0 is left for the driver to reject.
-  if (!params.listener.valid() && options.control_port != 0) {
-    params.listener = net::listen_tcp(options.control_port, 1);
+  if (!params.socket.valid() && options.control_port != 0) {
+    params.socket = net::listen_tcp(options.control_port, 1);
   }
-  if (params.listener.valid()) {
-    session->send_options.control_port = net::local_port(params.listener.get());
+  if (params.socket.valid()) {
+    session->send_options.control_port = net::local_port(params.socket.get());
   }
   return submit(std::move(session), std::move(params));
 }
@@ -197,6 +197,14 @@ TransferHandle TransferEngine::submit_receive(const ReceiverOptions& options,
   session->is_sender = false;
   session->recv_options = options;
   session->buffer = buffer;
+  // Bind before queueing, as submit_send listens; the same failure and
+  // port-0 rules apply.
+  if (!params.socket.valid() && options.data_port != 0) {
+    params.socket = net::bind_udp(options.data_port);
+  }
+  if (params.socket.valid()) {
+    session->recv_options.data_port = net::local_port(params.socket.get());
+  }
   return submit(std::move(session), std::move(params));
 }
 
@@ -215,13 +223,13 @@ void TransferEngine::run_session(const std::shared_ptr<detail::Session>& session
   ReceiverResult receiver_result;
   if (session->is_sender) {
     sender_result = detail::run_sender(session->send_options, session->object,
-                                       session->listener.get(), &session->cancel);
+                                       session->socket.get(), &session->cancel);
   } else {
-    receiver_result =
-        detail::run_receiver(session->recv_options, session->buffer, &session->cancel);
+    receiver_result = detail::run_receiver(session->recv_options, session->buffer,
+                                           std::move(session->socket), &session->cancel);
   }
   // The port is free again by the time a waiter sees the final status.
-  session->listener.reset();
+  session->socket.reset();
   const TransferStatus final_status =
       session->is_sender ? sender_result.status : receiver_result.status;
   if (trace) {

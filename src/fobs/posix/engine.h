@@ -22,6 +22,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "fobs/posix/posix_transfer.h"
 #include "net/socket.h"
@@ -108,13 +109,16 @@ struct SessionParams {
   /// Kept alive until the session ends — typically the mmap'd
   /// TransferObject backing the spans handed to submit_*.
   std::shared_ptr<void> keepalive;
-  /// Sender only: an already listening control socket (typically from
-  /// listen_control_port()). The session accepts on it and closes it
-  /// before it turns terminal; its port replaces options.control_port.
-  /// Without one, submit_send binds options.control_port itself.
-  net::Fd listener = {};
+  /// The session's own socket, bound before its port was named to the
+  /// peer: a sender's listening control socket (its port replaces
+  /// options.control_port; the session accepts on it and closes it
+  /// before it turns terminal) or a receiver's UDP data socket (its
+  /// port replaces options.data_port; the session's datagram channel
+  /// wraps it). Without one, submit_send listens on
+  /// options.control_port and submit_receive binds options.data_port.
+  net::Fd socket = {};
   /// Runs on the session's worker right after the session turns
-  /// terminal (results are final, listener already closed). Keep it
+  /// terminal (results are final, socket already closed). Keep it
   /// short; it blocks that worker.
   std::function<void(const TransferHandle&)> on_exit;
 };
@@ -134,9 +138,10 @@ class TransferEngine {
   /// valid until the session is terminal — use SessionParams::keepalive
   /// for engine-managed lifetime. Invalid options are not rejected
   /// here; the session turns kBadOptions immediately on its worker.
-  /// submit_send listens before it returns (see SessionParams::listener),
-  /// so a receiver may connect while the session still waits for a
-  /// worker: the connection waits in the listen backlog.
+  /// Both bind before they return (see SessionParams::socket), so a
+  /// peer may reach the session while it still waits for a worker: a
+  /// receiver's connect waits in the sender's listen backlog, and a
+  /// sender's datagrams wait in the receiver's socket buffer.
   TransferHandle submit_send(const SenderOptions& options,
                              std::span<const std::uint8_t> object, SessionParams params = {});
   TransferHandle submit_receive(const ReceiverOptions& options,
@@ -146,7 +151,7 @@ class TransferEngine {
   /// (a kernel-chosen port when control_port_base is 0); invalid when
   /// every port of the range is taken. Bind first, advertise
   /// net::local_port() after, then hand it to a session as
-  /// SessionParams::listener.
+  /// SessionParams::socket.
   [[nodiscard]] net::Fd listen_control_port() const;
 
   /// Striped transfers (see fobs/stripe/striped_transfer.h): negotiate
@@ -159,6 +164,12 @@ class TransferEngine {
                                    std::span<const std::uint8_t> object);
   StripedResult run_striped_receiver(const StripedReceiverOptions& options,
                                      std::span<std::uint8_t> buffer);
+  /// The same over data sockets the caller already bound (fetch_file
+  /// binds them before its catalog line names the first): asks for at
+  /// most one stripe per socket, and options.data_port_base is unused.
+  StripedResult run_striped_receiver(const StripedReceiverOptions& options,
+                                     std::span<std::uint8_t> buffer,
+                                     std::vector<net::Fd> data_sockets);
   /// Negotiates inline, then launches the per-stripe sender sessions
   /// without waiting for them. False when nothing was launched
   /// (`error` says why).
@@ -175,8 +186,7 @@ class TransferEngine {
                            std::span<const std::uint8_t> object, StripeLaunch launch,
                            StripedSessionParams params, std::string* error = nullptr);
   StripedResult launch_striped_receive(const StripedReceiverOptions& options,
-                                       std::span<std::uint8_t> buffer,
-                                       const StripeLaunch& launch);
+                                       std::span<std::uint8_t> buffer, StripeLaunch launch);
 
   /// Binds a TCP listener on `port` (0 = kernel-chosen, see
   /// acceptor_port) and dispatches every accepted connection to the

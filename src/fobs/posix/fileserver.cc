@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <vector>
 
 #include "fobs/object.h"
 #include "fobs/posix/checkpoint.h"
@@ -203,9 +204,8 @@ void FileServer::handle_catalog(int fd, const std::string& peer_host) {
                                             &error);
   } else {
     StripeLaunch launch{.peer_host = peer_host,
-                        .data_ports = {static_cast<std::uint16_t>(client_port)},
-                        .control_ports = {control_port}};
-    launch.listeners.push_back(std::move(listener));
+                        .peer_ports = {static_cast<std::uint16_t>(client_port)}};
+    launch.sockets.push_back(std::move(listener));
     launched = engine_->launch_striped_send(send_options, object->view(), std::move(launch),
                                             std::move(params), &error);
   }
@@ -225,15 +225,26 @@ void FileServer::handle_catalog(int fd, const std::string& peer_host) {
 FetchResult fetch_file(const FetchOptions& options) {
   FetchResult result;
   result.status = TransferStatus::kBadOptions;
-  if (options.catalog_port == 0 || options.data_port == 0 || options.name.empty() ||
-      options.out_path.empty()) {
-    result.error = "invalid options: catalog_port, data_port, name, out_path are required";
+  if (options.catalog_port == 0 || options.name.empty() || options.out_path.empty()) {
+    result.error = "invalid options: catalog_port, name, out_path are required";
     return result;
   }
   if (!net::make_addr(options.host, options.catalog_port)) {
     result.error = "invalid options: host must be an IPv4 address";
     return result;
   }
+  // Bind the data sockets before the catalog line names the first: a
+  // taken port fails here, before the server starts a session, and the
+  // request asks for as many stripes as were bound.
+  std::vector<net::Fd> data_sockets =
+      bind_data_sockets(options.data_port, std::clamp(options.stripes, 1, stripe::kMaxStripes));
+  if (data_sockets.empty()) {
+    result.status = TransferStatus::kSocketError;
+    result.error = "udp bind failed on data port " + std::to_string(options.data_port);
+    return result;
+  }
+  const int stripes = static_cast<int>(data_sockets.size());
+  const std::uint16_t data_port = net::local_port(data_sockets.front().get());
 
   // Catalog exchange. The connect retries with backoff (the server may
   // still be starting); connect, request and reply share one deadline.
@@ -246,8 +257,7 @@ FetchResult fetch_file(const FetchOptions& options) {
     result.error = "catalog connect failed";
     return result;
   }
-  const int stripes = std::min(std::max(options.stripes, 1), stripe::kMaxStripes);
-  std::string catalog_line = options.name + " " + std::to_string(options.data_port);
+  std::string catalog_line = options.name + " " + std::to_string(data_port);
   if (stripes > 1) catalog_line += " " + std::to_string(stripes);
   catalog_line += "\n";
   net::send_all(conn.get(), catalog_line.data(), catalog_line.size(), catalog_deadline);
@@ -292,7 +302,6 @@ FetchResult fetch_file(const FetchOptions& options) {
   StripedReceiverOptions receive;
   receive.sender_host = options.host;
   receive.negotiation_port = static_cast<std::uint16_t>(control_port);
-  receive.data_port_base = options.data_port;
   receive.stripes = stripes;
   receive.layout = options.layout;
   receive.checkpoint_base = checkpoint_path;
@@ -301,11 +310,12 @@ FetchResult fetch_file(const FetchOptions& options) {
   // One stripe needs no negotiation: the catalog reply fixed its ports.
   TransferEngine engine(EngineOptions{.workers = static_cast<std::size_t>(stripes)});
   const StripedResult received =
-      stripes > 1 ? engine.run_striped_receiver(receive, partial->mutable_view())
+      stripes > 1 ? engine.run_striped_receiver(receive, partial->mutable_view(),
+                                                std::move(data_sockets))
                   : engine.launch_striped_receive(
                         receive, partial->mutable_view(),
-                        StripeLaunch{.data_ports = {options.data_port},
-                                     .control_ports = {receive.negotiation_port}});
+                        StripeLaunch{.peer_ports = {receive.negotiation_port},
+                                     .sockets = std::move(data_sockets)});
   result.status = received.status;
   result.error = received.error;
   result.packets_restored = received.packets_restored;

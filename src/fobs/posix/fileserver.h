@@ -6,9 +6,11 @@
 //   server -> "<size> <control-port>\n"     (size -1 = refused)
 // then the server pushes the file with a FOBS transfer: data to the
 // client's UDP port, the completion signal accepted on the per-session
-// control port. The server listens on that port before it replies, so
-// the client's first connect is accepted. Every transfer, on both ends,
-// is a K-stripe plan run by
+// control port. Each side binds the port it names before naming it:
+// the client its UDP data socket(s) before the request line, the server
+// its control listener before the reply, so the client's first connect
+// is accepted and the server's first datagram finds its socket. Every
+// transfer, on both ends, is a K-stripe plan run by
 // the stripe orchestrator (fobs/stripe/striped_transfer.h). Without the
 // optional third token the reply has settled a 1-stripe plan, and no
 // negotiation follows: the exchange is byte for byte the plain one. A
@@ -110,14 +112,18 @@ struct FetchOptions {
   std::uint16_t catalog_port = 0;  ///< server's catalog port (required)
   std::string name;                ///< file name in the server's directory
   std::string out_path;            ///< local destination path
-  std::uint16_t data_port = 0;     ///< local UDP port for the data (required)
+  /// Local UDP data port: 0 binds a kernel-chosen port per stripe;
+  /// otherwise stripe i binds data_port + i. Bound before the catalog
+  /// line names it; a taken port fails the fetch with kSocketError
+  /// before anything reaches the server.
+  std::uint16_t data_port = 0;
   /// Resume from `<out>.part` + `<out>.ckpt` when they match.
   bool resume = true;
   bool quiet = false;
   /// Stripe count to request (> 1 enables FOBSSTRP negotiation; the
-  /// server may grant fewer). Data flows use ports
-  /// [data_port, data_port + stripes). Falls back to a single flow
-  /// against pre-striping servers.
+  /// server may grant fewer, and no more are asked for than data ports
+  /// could be bound). Falls back to a single flow against pre-striping
+  /// servers.
   int stripes = 1;
   stripe::StripeLayout layout = stripe::StripeLayout::kContiguous;
   /// Applied to the receive session(s). endpoint.timeout_ms also

@@ -444,7 +444,7 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
 // ---------------------------------------------------------------------------
 
 ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8_t> buffer,
-                            const std::atomic<bool>* cancel) {
+                            net::Fd socket, const std::atomic<bool>* cancel) {
   ReceiverResult result;
   result.status = TransferStatus::kBadOptions;
   auto& metrics = telemetry::MetricsRegistry::global();
@@ -465,15 +465,20 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
   if (!resolve_fault_plan(options.endpoint.fault_plan, faults, result.error)) return result;
   metrics.counter("fobs.posix.receiver.transfers").inc();
 
-  // Datagram channel bound at the data port. Receive slots are sized
-  // for exactly one full data packet; anything larger is truncated by
-  // the kernel and rejected as garbage below.
+  // Datagram channel over the data socket bound before its port was
+  // named to the sender. Receive slots are sized for exactly one full
+  // data packet; anything larger is truncated by the kernel and
+  // rejected as garbage below.
   result.status = TransferStatus::kSocketError;
+  if (!socket.valid()) {
+    result.error = "udp bind failed on port " + std::to_string(options.data_port);
+    return result;
+  }
   std::string io_error;
   auto channel = fobs::net::DatagramChannel::open(
       options.endpoint.io,
       kDataHeaderSize + static_cast<std::size_t>(options.endpoint.packet_bytes),
-      options.data_port, &io_error);
+      std::move(socket), &io_error);
   if (!channel.valid()) {
     result.error = io_error;
     return result;

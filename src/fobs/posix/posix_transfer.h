@@ -31,6 +31,7 @@
 #include "fobs/sender_core.h"
 #include "fobs/stripe/plan.h"
 #include "net/faults.h"
+#include "net/socket.h"
 
 namespace fobs::posix {
 
@@ -38,7 +39,7 @@ struct SenderOptions {
   std::string receiver_host = "127.0.0.1";
   std::uint16_t data_port = 0;     ///< receiver's UDP port (required)
   /// Sender's TCP listen port (required unless the session is handed a
-  /// bound listener, see SessionParams::listener).
+  /// listening socket, see SessionParams::socket).
   std::uint16_t control_port = 0;
   fobs::core::SenderConfig core;
   /// Knobs shared with the receive side (packet size, stall budget,
@@ -84,7 +85,9 @@ SenderResult send_object(const SenderOptions& options, std::span<const std::uint
 
 struct ReceiverOptions {
   std::string sender_host = "127.0.0.1";
-  std::uint16_t data_port = 0;     ///< local UDP port to bind (required)
+  /// Local UDP port, bound at submit (required unless the session is
+  /// handed a bound socket, see SessionParams::socket).
+  std::uint16_t data_port = 0;
   std::uint16_t control_port = 0;  ///< sender's TCP port (required)
   fobs::core::ReceiverConfig core;
   /// When non-empty, the checkpoint base (fobs/posix/checkpoint.h):
@@ -143,11 +146,13 @@ namespace detail {
 /// the public free functions reach them through a one-session engine.
 /// The sender accepts its control channel on `listener`, a listening
 /// socket on options.control_port that stays the caller's (-1 when the
-/// bind failed).
+/// bind failed). The receiver takes its data channel over `socket`, a
+/// UDP socket already bound on options.data_port (invalid when the bind
+/// failed); neither driver binds anything itself.
 SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8_t> object,
                         int listener, const std::atomic<bool>* cancel);
 ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8_t> buffer,
-                            const std::atomic<bool>* cancel);
+                            net::Fd socket, const std::atomic<bool>* cancel);
 
 /// Goodput in Mb/s of `bytes` moved in `seconds` (0 for no elapsed time).
 [[nodiscard]] double mbps(std::int64_t bytes, double seconds);

@@ -110,14 +110,13 @@ std::shared_ptr<const stripe::StripePlan> settle_plan(std::size_t object_bytes,
                                                       std::int64_t packet_bytes,
                                                       const StripeLaunch& launch,
                                                       std::string& error) {
-  if (launch.data_ports.size() != launch.control_ports.size() ||
-      (!launch.listeners.empty() && launch.listeners.size() != launch.data_ports.size())) {
-    error = "invalid launch: needs one (data port, control port) pair per stripe";
+  if (launch.peer_ports.size() != launch.sockets.size()) {
+    error = "invalid launch: needs one (peer port, bound socket) pair per stripe";
     return nullptr;
   }
   stripe::StripePlan plan;
   if (!stripe::StripePlan::make({static_cast<std::int64_t>(object_bytes), packet_bytes},
-                                static_cast<int>(launch.data_ports.size()), launch.layout,
+                                static_cast<int>(launch.sockets.size()), launch.layout,
                                 &plan, &error)) {
     error = "invalid launch: " + error;
     return nullptr;
@@ -233,13 +232,14 @@ std::optional<StripeLaunch> negotiate_send(const TransferEngine& engine,
   // Listen on every stripe's control port before answering, so each
   // advertised port already accepts; the stripe count shrinks to the
   // listeners the engine's range has room for.
+  std::vector<std::uint16_t> control_ports;
   for (int i = 0; i < wanted; ++i) {
     Fd control = engine.listen_control_port();
     if (!control.valid()) break;
-    launch.control_ports.push_back(net::local_port(control.get()));
-    launch.listeners.push_back(std::move(control));
+    control_ports.push_back(net::local_port(control.get()));
+    launch.sockets.push_back(std::move(control));
   }
-  const int accepted = static_cast<int>(launch.listeners.size());
+  const int accepted = static_cast<int>(launch.sockets.size());
 
   if (accepted == 0) {
     // Out of ports: refuse striping but keep the transfer alive — the
@@ -249,23 +249,24 @@ std::optional<StripeLaunch> negotiate_send(const TransferEngine& engine,
     if (!respond({})) return fail("negotiation response failed");
     metrics.counter("fobs.stripe.negotiation_rejected").inc();
     metrics.counter("fobs.stripe.fallbacks").inc();
-    launch.data_ports = {request->data_ports.front()};
-    launch.control_ports = {net::local_port(listener.get())};
-    launch.listeners.push_back(std::move(listener));
+    launch.peer_ports = {request->data_ports.front()};
+    launch.sockets.push_back(std::move(listener));
     launch.fallback_single_flow = true;
     return launch;
   }
-  if (!respond(launch.control_ports)) return fail("negotiation response failed");
+  if (!respond(control_ports)) return fail("negotiation response failed");
   metrics.counter("fobs.stripe.sessions").inc(accepted);
-  launch.data_ports.assign(request->data_ports.begin(), request->data_ports.begin() + accepted);
+  launch.peer_ports.assign(request->data_ports.begin(), request->data_ports.begin() + accepted);
   return launch;
 }
 
-/// Receiver side of FOBSSTRP: asks for options.stripes. Settles on the
-/// granted plan, or on a refusal (or a pre-striping peer) on the
-/// 1-stripe plan on the negotiation port. nullopt sets `result`'s
-/// status and error.
+/// Receiver side of FOBSSTRP over `sockets`, the bound data sockets
+/// whose ports the request names: asks for options.stripes, at most one
+/// per socket. Settles on the granted plan, or on a refusal (or a
+/// pre-striping peer) on the 1-stripe plan on the first socket and the
+/// negotiation port. nullopt sets `result`'s status and error.
 std::optional<StripeLaunch> negotiate_receive(const StripedReceiverOptions& options,
+                                              std::vector<Fd> sockets,
                                               std::size_t buffer_bytes, StripedResult& result) {
   auto fail = [&](TransferStatus status,
                   const std::string& why) -> std::optional<StripeLaunch> {
@@ -278,19 +279,23 @@ std::optional<StripeLaunch> negotiate_receive(const StripedReceiverOptions& opti
   const fobs::core::TransferSpec spec{static_cast<std::int64_t>(buffer_bytes),
                                       options.endpoint.packet_bytes};
   // max_stripes(spec) is 0 for an empty buffer or a bad packet size.
-  const int requested = std::min({options.stripes, stripe::kMaxStripes,
-                                  stripe::StripePlan::max_stripes(spec)});
+  const int wanted = std::min({options.stripes, stripe::kMaxStripes,
+                               stripe::StripePlan::max_stripes(spec)});
   const char* invalid = nullptr;
-  if (options.negotiation_port == 0 || options.data_port_base == 0) {
-    invalid = "negotiation_port and data_port_base must be non-zero";
+  if (options.negotiation_port == 0) {
+    invalid = "negotiation_port must be non-zero";
   } else if (!net::make_addr(options.sender_host, options.negotiation_port)) {
     invalid = "host must be an IPv4 address";
-  } else if (requested < 1) {
+  } else if (wanted < 1) {
     invalid = "stripes must be >= 1, with a non-empty buffer and a positive packet size";
-  } else if (options.data_port_base + requested - 1 > 0xFFFF) {
-    invalid = "data port block exceeds the port space";
   }
   if (invalid != nullptr) return fail(TransferStatus::kBadOptions, invalid);
+  if (sockets.empty()) {
+    return fail(TransferStatus::kSocketError,
+                "udp bind failed on data port " + std::to_string(options.data_port_base));
+  }
+  const int requested = std::min(wanted, static_cast<int>(sockets.size()));
+  sockets.resize(static_cast<std::size_t>(requested));
 
   const auto deadline = Clock::now() + std::chrono::milliseconds(options.endpoint.timeout_ms);
   Fd conn = net::connect_with_backoff(options.sender_host, options.negotiation_port, deadline);
@@ -299,9 +304,7 @@ std::optional<StripeLaunch> negotiate_receive(const StripedReceiverOptions& opti
   request.layout = options.layout;
   request.object_bytes = spec.object_bytes;
   request.packet_bytes = spec.packet_bytes;
-  for (int i = 0; i < requested; ++i) {
-    request.data_ports.push_back(static_cast<std::uint16_t>(options.data_port_base + i));
-  }
+  for (const Fd& socket : sockets) request.data_ports.push_back(net::local_port(socket.get()));
   const auto encoded = stripe::encode_stripe_request(request);
   std::vector<std::uint8_t> frame;
   if (net::send_all(conn.get(), encoded.data(), encoded.size(), deadline)) {
@@ -323,22 +326,23 @@ std::optional<StripeLaunch> negotiate_receive(const StripedReceiverOptions& opti
     refusal = "peer refused stripe negotiation";
   }
 
+  StripeLaunch launch;
   if (refusal == nullptr) {
     metrics.counter("fobs.stripe.sessions").inc(response->accepted());
-    StripeLaunch launch;
     launch.layout = response->layout;
-    launch.data_ports.assign(request.data_ports.begin(),
-                             request.data_ports.begin() + response->accepted());
-    launch.control_ports = response->control_ports;
+    launch.peer_ports = response->control_ports;
+    sockets.resize(launch.peer_ports.size());
+    launch.sockets = std::move(sockets);
     return launch;
   }
   metrics.counter("fobs.stripe.negotiation_rejected").inc();
   if (!options.allow_single_flow_fallback) return fail(TransferStatus::kPeerLost, refusal);
   metrics.counter("fobs.stripe.fallbacks").inc();
-  return StripeLaunch{.layout = options.layout,
-                      .data_ports = {options.data_port_base},
-                      .control_ports = {options.negotiation_port},
-                      .fallback_single_flow = true};
+  launch.layout = options.layout;
+  launch.peer_ports = {options.negotiation_port};
+  launch.sockets.push_back(std::move(sockets.front()));
+  launch.fallback_single_flow = true;
+  return launch;
 }
 
 }  // namespace
@@ -371,16 +375,13 @@ bool TransferEngine::launch_striped_send(const StripedSenderOptions& options,
   for (int i = 0; i < stripes; ++i) {
     SenderOptions session;
     session.receiver_host = launch.peer_host;
-    session.data_port = launch.data_ports[static_cast<std::size_t>(i)];
-    session.control_port = launch.control_ports[static_cast<std::size_t>(i)];
+    session.data_port = launch.peer_ports[static_cast<std::size_t>(i)];
     session.core = options.core;
     session.endpoint = stripe_endpoint(options.endpoint, options.stripe_fault_plans, i);
     session.stripe = {plan, i};
     SessionParams session_params;
     session_params.keepalive = params.keepalive;  // shared across stripes
-    if (!launch.listeners.empty()) {
-      session_params.listener = std::move(launch.listeners[static_cast<std::size_t>(i)]);
-    }
+    session_params.socket = std::move(launch.sockets[static_cast<std::size_t>(i)]);
     session_params.on_exit = [agg, i](const TransferHandle& handle) {
       agg->stripe_done(i, handle.sender_result());
     };
@@ -391,7 +392,7 @@ bool TransferEngine::launch_striped_send(const StripedSenderOptions& options,
 
 StripedResult TransferEngine::launch_striped_receive(const StripedReceiverOptions& options,
                                                      std::span<std::uint8_t> buffer,
-                                                     const StripeLaunch& launch) {
+                                                     StripeLaunch launch) {
   StripedResult result;
   result.is_sender = false;
   result.status = TransferStatus::kBadOptions;
@@ -408,13 +409,14 @@ StripedResult TransferEngine::launch_striped_receive(const StripedReceiverOption
   for (int i = 0; i < stripes; ++i) {
     ReceiverOptions session;
     session.sender_host = options.sender_host;
-    session.data_port = launch.data_ports[static_cast<std::size_t>(i)];
-    session.control_port = launch.control_ports[static_cast<std::size_t>(i)];
+    session.control_port = launch.peer_ports[static_cast<std::size_t>(i)];
     session.core = options.core;
     session.checkpoint_path = options.checkpoint_base;
     session.endpoint = stripe_endpoint(options.endpoint, options.stripe_fault_plans, i);
     session.stripe = {plan, i};
-    handles.push_back(submit_receive(session, buffer));
+    SessionParams session_params;
+    session_params.socket = std::move(launch.sockets[static_cast<std::size_t>(i)]);
+    handles.push_back(submit_receive(session, buffer, std::move(session_params)));
   }
   result.stripe_receivers.resize(static_cast<std::size_t>(stripes));
   for (int i = 0; i < stripes; ++i) {
@@ -483,11 +485,31 @@ StripedResult TransferEngine::run_striped_sender(const StripedSenderOptions& opt
 
 StripedResult TransferEngine::run_striped_receiver(const StripedReceiverOptions& options,
                                                    std::span<std::uint8_t> buffer) {
+  return run_striped_receiver(
+      options, buffer,
+      bind_data_sockets(options.data_port_base, std::min(options.stripes, stripe::kMaxStripes)));
+}
+
+StripedResult TransferEngine::run_striped_receiver(const StripedReceiverOptions& options,
+                                                   std::span<std::uint8_t> buffer,
+                                                   std::vector<net::Fd> data_sockets) {
   StripedResult result;
   result.is_sender = false;
-  const auto launch = negotiate_receive(options, buffer.size(), result);
+  auto launch = negotiate_receive(options, std::move(data_sockets), buffer.size(), result);
   if (!launch) return result;
-  return launch_striped_receive(options, buffer, *launch);
+  return launch_striped_receive(options, buffer, std::move(*launch));
+}
+
+std::vector<net::Fd> bind_data_sockets(std::uint16_t base, int count) {
+  std::vector<net::Fd> sockets;
+  for (int i = 0; i < count; ++i) {
+    const auto port = base == 0 ? 0u : std::uint32_t{base} + static_cast<std::uint32_t>(i);
+    if (port > 0xFFFF) break;
+    Fd socket = net::bind_udp(static_cast<std::uint16_t>(port));
+    if (!socket.valid()) break;
+    sockets.push_back(std::move(socket));
+  }
+  return sockets;
 }
 
 }  // namespace fobs::posix

@@ -12,24 +12,25 @@
 // A plain single-flow transfer is the 1-stripe plan; every transfer
 // the file server and fetch_file run goes through two steps here:
 //   * Negotiation (only when a peer asked for K > 1). The receiver
-//     connects to the sender's negotiation TCP port and sends a
-//     FOBSSTRP request (stripe count, layout, per-stripe UDP data
-//     ports). The sender clamps the count (its max_stripes, the
-//     object's packet count, the control listeners it could bind) and
-//     answers with the accepted count and one TCP control port per
-//     stripe — each already listening, so a port is advertised only
-//     once bound. A refusal (accepted count zero) or a pre-striping
-//     sender, which drops the connection on the unknown token, settles
-//     on the 1-stripe plan on (data_port_base, negotiation_port)
+//     binds its K UDP data sockets, connects to the sender's
+//     negotiation TCP port and sends a FOBSSTRP request (stripe count,
+//     layout, the bound sockets' ports). The sender clamps the count
+//     (its max_stripes, the object's packet count, the control
+//     listeners it could bind) and answers with the accepted count and
+//     one TCP control port per stripe. Each side binds a port before it
+//     names it, so every port either peer reads already takes traffic.
+//     A refusal (accepted count zero) or a pre-striping sender, which
+//     drops the connection on the unknown token, settles on the
+//     1-stripe plan on (the first data socket, negotiation_port)
 //     instead, so both sides degrade together; a refusing sender keeps
 //     the negotiation listener open for that one flow.
-//   * Launch. A settled plan plus one (data port, control port) pair
-//     per stripe (StripeLaunch) starts one ordinary FOBS session per
-//     stripe in stripe-local sequence space — greedy UDP, selective-ACK
-//     bitmap, TCP completion token — and aggregates them into one
-//     StripedResult. A 1-stripe plan whose ports a plain catalog
-//     exchange already fixed goes straight here: its wire bytes are
-//     exactly those of a plain transfer.
+//   * Launch. A settled plan plus, per stripe, the peer's port and this
+//     side's bound socket (StripeLaunch) starts one ordinary FOBS
+//     session per stripe in stripe-local sequence space — greedy UDP,
+//     selective-ACK bitmap, TCP completion token — and aggregates them
+//     into one StripedResult. A 1-stripe plan whose ports a plain
+//     catalog exchange already fixed goes straight here: its wire
+//     bytes are exactly those of a plain transfer.
 //
 // Checkpointing: every file describes the whole object (see
 // fobs/posix/checkpoint.h). A 1-stripe session writes `<base>`, stripe
@@ -82,8 +83,10 @@ struct StripedReceiverOptions {
   std::string sender_host = "127.0.0.1";
   /// The sender's negotiation port (required).
   std::uint16_t negotiation_port = 0;
-  /// First of `stripes` *contiguous* local UDP data ports (required);
-  /// stripe i binds data_port_base + i.
+  /// Local UDP data ports: 0 binds a kernel-chosen port per stripe;
+  /// otherwise stripe i binds data_port_base + i. The ports are bound
+  /// before the request names them, and it asks for no more stripes
+  /// than were bound (from stripe 0 on; none fails with kSocketError).
   std::uint16_t data_port_base = 0;
   /// Requested stripe count; the sender may accept fewer.
   /// run_striped_receiver negotiates even for 1, so any K pairs with
@@ -138,21 +141,28 @@ struct StripedResult {
   [[nodiscard]] bool degraded() const { return !completed() && stripes_completed > 0; }
 };
 
-/// A settled plan: stripe i pairs the receiver's UDP data_ports[i] with
-/// the sender's TCP control_ports[i], and both peers derive the same
-/// StripePlan from the stripe count, the layout and the object size.
+/// A settled plan for one side: stripe i runs on this side's bound
+/// sockets[i] against the peer's peer_ports[i], and both peers derive
+/// the same StripePlan from the stripe count, the layout and the object
+/// size. On a sender, sockets are the stripes' listening control
+/// sockets and peer_ports the receiver's UDP data ports; on a receiver,
+/// sockets are the stripes' UDP data sockets and peer_ports the
+/// sender's control ports. Each socket goes to its stripe's session
+/// (SessionParams::socket), which closes it when it ends.
 struct StripeLaunch {
   std::string peer_host = "127.0.0.1";  ///< sender only: the receiver's host
   stripe::StripeLayout layout = stripe::StripeLayout::kContiguous;
-  std::vector<std::uint16_t> data_ports;
-  std::vector<std::uint16_t> control_ports;
-  /// Sender only: when non-empty, listeners[i] is already listening on
-  /// control_ports[i] and goes to stripe i's session, which closes it
-  /// when it ends. When empty, each session binds its port at submit.
-  std::vector<net::Fd> listeners = {};
+  std::vector<std::uint16_t> peer_ports = {};
+  std::vector<net::Fd> sockets = {};
   /// Copied into StripedResult::fallback_single_flow.
   bool fallback_single_flow = false;
 };
+
+/// Up to `count` bound UDP data sockets for one receive, stripe i's at
+/// port base + i, or every one at a kernel-chosen port when base is 0.
+/// Stops at the first port that cannot be bound, so it returns as many
+/// as it could bind (none when stripe 0's port is taken).
+[[nodiscard]] std::vector<net::Fd> bind_data_sockets(std::uint16_t base, int count);
 
 /// Extras for TransferEngine::submit_striped_send / launch_striped_send.
 struct StripedSessionParams {

@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -44,6 +43,32 @@ IoMode resolve_mode(IoMode requested) {
   return IoMode::kAuto;
 }
 
+/// Whether a channel with these options runs batched; nullopt (with
+/// `error` filled) when the options are invalid or ask for batching
+/// this platform lacks.
+std::optional<bool> batched_mode(const IoOptions& io, std::size_t max_datagram_bytes,
+                                 std::string* error) {
+  const std::string invalid = io.validate();
+  if (!invalid.empty()) {
+    if (error != nullptr) *error = invalid;
+    return std::nullopt;
+  }
+  if (max_datagram_bytes == 0) {
+    if (error != nullptr) *error = "max_datagram_bytes must be positive";
+    return std::nullopt;
+  }
+  const IoMode mode = resolve_mode(io.mode);
+#if defined(__linux__)
+  return mode != IoMode::kFallback;
+#else
+  if (mode == IoMode::kBatched) {
+    if (error != nullptr) *error = "batched datagram I/O is not available on this platform";
+    return std::nullopt;
+  }
+  return false;
+#endif
+}
+
 }  // namespace
 
 const char* to_string(IoMode mode) {
@@ -67,79 +92,38 @@ std::string IoOptions::validate() const {
   return {};
 }
 
-DatagramChannel::~DatagramChannel() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-DatagramChannel::DatagramChannel(DatagramChannel&& other) noexcept { *this = std::move(other); }
-
-DatagramChannel& DatagramChannel::operator=(DatagramChannel&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = other.fd_;
-    other.fd_ = -1;
-    batched_ = other.batched_;
-    send_batch_limit_ = other.send_batch_limit_;
-    recv_batch_limit_ = other.recv_batch_limit_;
-    slot_bytes_ = other.slot_bytes_;
-    rx_pool_ = std::move(other.rx_pool_);
-    tx_scratch_ = std::move(other.tx_scratch_);
-    stats_ = other.stats_;
-    syscalls_metric_ = other.syscalls_metric_;
-    copy_avoided_metric_ = other.copy_avoided_metric_;
-    per_syscall_metric_ = other.per_syscall_metric_;
-  }
-  return *this;
-}
-
 DatagramChannel DatagramChannel::open(const IoOptions& io, std::size_t max_datagram_bytes,
                                       std::optional<std::uint16_t> bind_port,
                                       std::string* error) {
-  DatagramChannel channel;
-  const std::string invalid = io.validate();
-  if (!invalid.empty()) {
-    if (error != nullptr) *error = invalid;
-    return channel;
+  if (!batched_mode(io, max_datagram_bytes, error)) return {};
+  Fd socket = bind_port ? bind_udp(*bind_port) : Fd(::socket(AF_INET, SOCK_DGRAM, 0));
+  if (!socket.valid()) {
+    set_error(error, bind_port ? "udp bind failed" : "udp socket setup failed");
+    return {};
   }
-  if (max_datagram_bytes == 0) {
-    if (error != nullptr) *error = "max_datagram_bytes must be positive";
-    return channel;
-  }
-  const IoMode mode = resolve_mode(io.mode);
-#if defined(__linux__)
-  const bool batched = mode != IoMode::kFallback;
-#else
-  if (mode == IoMode::kBatched) {
-    if (error != nullptr) *error = "batched datagram I/O is not available on this platform";
-    return channel;
-  }
-  const bool batched = false;
-#endif
+  return open(io, max_datagram_bytes, std::move(socket), error);
+}
 
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd < 0 || !set_nonblocking(fd)) {
+DatagramChannel DatagramChannel::open(const IoOptions& io, std::size_t max_datagram_bytes,
+                                      Fd socket, std::string* error) {
+  DatagramChannel channel;
+  const auto batched_or = batched_mode(io, max_datagram_bytes, error);
+  if (!batched_or) return channel;
+  const bool batched = *batched_or;
+  if (!socket.valid() || !set_nonblocking(socket.get())) {
     set_error(error, "udp socket setup failed");
-    if (fd >= 0) ::close(fd);
     return channel;
   }
   if (io.send_buffer_bytes > 0) {
     const int buf = io.send_buffer_bytes;
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &buf, sizeof buf);
+    ::setsockopt(socket.get(), SOL_SOCKET, SO_SNDBUF, &buf, sizeof buf);
   }
   if (io.recv_buffer_bytes > 0) {
     const int buf = io.recv_buffer_bytes;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &buf, sizeof buf);
-  }
-  if (bind_port) {
-    const sockaddr_in addr = *make_addr("0.0.0.0", *bind_port);
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-      set_error(error, "udp bind failed");
-      ::close(fd);
-      return channel;
-    }
+    ::setsockopt(socket.get(), SOL_SOCKET, SO_RCVBUF, &buf, sizeof buf);
   }
 
-  channel.fd_ = fd;
+  channel.fd_ = std::move(socket);
   channel.batched_ = batched;
   channel.send_batch_limit_ = batched ? io.send_batch : 1;
   channel.recv_batch_limit_ = batched ? io.recv_batch : 1;
@@ -156,14 +140,6 @@ DatagramChannel DatagramChannel::open(const IoOptions& io, std::size_t max_datag
   return channel;
 }
 
-std::uint16_t DatagramChannel::local_port() const {
-  if (fd_ < 0) return 0;
-  sockaddr_in addr{};
-  socklen_t len = sizeof addr;
-  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) return 0;
-  return ntohs(addr.sin_port);
-}
-
 void DatagramChannel::note_syscall(bool send, int datagrams) {
   if (send) {
     ++stats_.send_syscalls;
@@ -178,7 +154,7 @@ void DatagramChannel::note_syscall(bool send, int datagrams) {
 
 bool DatagramChannel::wait_writable() {
   ++stats_.send_would_block;
-  pollfd pfd{fd_, POLLOUT, 0};
+  pollfd pfd{fd_.get(), POLLOUT, 0};
   return ::poll(&pfd, 1, 10) >= 0 || errno == EINTR;
 }
 
@@ -197,7 +173,7 @@ bool DatagramChannel::send_fallback(const DatagramView& datagram, const sockaddr
     data = tx_scratch_.data();
   }
   while (true) {
-    const ssize_t sent = ::sendto(fd_, data, total, 0,
+    const ssize_t sent = ::sendto(fd_.get(), data, total, 0,
                                   reinterpret_cast<const sockaddr*>(&dest), sizeof dest);
     if (sent >= 0) {
       note_syscall(/*send=*/true, 1);
@@ -218,7 +194,7 @@ bool DatagramChannel::send_fallback(const DatagramView& datagram, const sockaddr
 
 bool DatagramChannel::send_batch(std::span<const DatagramView> batch, const sockaddr_in& dest,
                                  std::string* error) {
-  if (fd_ < 0) {
+  if (!fd_.valid()) {
     if (error != nullptr) *error = "channel not open";
     return false;
   }
@@ -244,7 +220,7 @@ bool DatagramChannel::send_batch(std::span<const DatagramView> batch, const sock
       msgs[i].msg_hdr.msg_iov = iovs[i];
       msgs[i].msg_hdr.msg_iovlen = static_cast<std::size_t>(iov_count);
     }
-    const int sent = ::sendmmsg(fd_, msgs, static_cast<unsigned>(want), 0);
+    const int sent = ::sendmmsg(fd_.get(), msgs, static_cast<unsigned>(want), 0);
     if (sent > 0) {
       std::int64_t avoided = 0;
       std::int64_t bytes = 0;
@@ -283,7 +259,7 @@ bool DatagramChannel::send_batch(std::span<const DatagramView> batch, const sock
 }
 
 int DatagramChannel::recv_batch(std::span<RecvView> out, std::string* error) {
-  if (fd_ < 0) {
+  if (!fd_.valid()) {
     if (error != nullptr) *error = "channel not open";
     return -1;
   }
@@ -303,7 +279,8 @@ int DatagramChannel::recv_batch(std::span<RecvView> out, std::string* error) {
       msgs[i].msg_hdr.msg_name = &froms[i];
       msgs[i].msg_hdr.msg_namelen = sizeof froms[i];
     }
-    const int got = ::recvmmsg(fd_, msgs, static_cast<unsigned>(want), MSG_DONTWAIT, nullptr);
+    const int got =
+        ::recvmmsg(fd_.get(), msgs, static_cast<unsigned>(want), MSG_DONTWAIT, nullptr);
     if (got > 0) {
       std::int64_t bytes = 0;
       for (int i = 0; i < got; ++i) {
@@ -329,7 +306,7 @@ int DatagramChannel::recv_batch(std::span<RecvView> out, std::string* error) {
 #endif
   sockaddr_in from{};
   socklen_t from_len = sizeof from;
-  const ssize_t n = ::recvfrom(fd_, rx_pool_.data(), slot_bytes_, MSG_DONTWAIT,
+  const ssize_t n = ::recvfrom(fd_.get(), rx_pool_.data(), slot_bytes_, MSG_DONTWAIT,
                                reinterpret_cast<sockaddr*>(&from), &from_len);
   if (n >= 0) {
     out[0] = RecvView{std::span<std::uint8_t>(rx_pool_.data(), static_cast<std::size_t>(n)),

@@ -30,6 +30,8 @@
 #include <string>
 #include <vector>
 
+#include "net/socket.h"
+
 namespace fobs::telemetry {
 class Counter;
 class Histogram;
@@ -101,30 +103,27 @@ struct RecvView {
 
 class DatagramChannel {
  public:
-  DatagramChannel() = default;
-  ~DatagramChannel();
-  DatagramChannel(DatagramChannel&& other) noexcept;
-  DatagramChannel& operator=(DatagramChannel&& other) noexcept;
-  DatagramChannel(const DatagramChannel&) = delete;
-  DatagramChannel& operator=(const DatagramChannel&) = delete;
-
   /// Opens a non-blocking UDP socket sized for datagrams of up to
   /// `max_datagram_bytes`. `bind_port` of nullopt leaves the socket
-  /// unbound (a sender; the kernel binds it on first send); 0 binds an
-  /// ephemeral port (see local_port()); anything else binds that port.
-  /// Returns an invalid channel and fills `error` on failure — the
-  /// options are validated first, so a bad IoOptions never touches a
-  /// socket.
+  /// unbound (a sender; the kernel binds it on first send); otherwise
+  /// it binds that port (0 = kernel-chosen) through net::bind_udp and
+  /// wraps the result with the overload below. Returns an invalid
+  /// channel and fills `error` on failure — the options are validated
+  /// first, so a bad IoOptions never touches a socket.
   static DatagramChannel open(const IoOptions& io, std::size_t max_datagram_bytes,
                               std::optional<std::uint16_t> bind_port, std::string* error);
+  /// Wraps `socket`, a UDP socket bound (or left unbound) by the
+  /// caller — typically one whose port was named to the peer before
+  /// this call. The channel owns and closes it; an invalid `socket` or
+  /// a bad IoOptions yields an invalid channel with `error` filled.
+  static DatagramChannel open(const IoOptions& io, std::size_t max_datagram_bytes, Fd socket,
+                              std::string* error);
 
-  [[nodiscard]] bool valid() const { return fd_ >= 0; }
-  [[nodiscard]] int fd() const { return fd_; }
+  [[nodiscard]] bool valid() const { return fd_.valid(); }
+  [[nodiscard]] int fd() const { return fd_.get(); }
   /// True while sendmmsg/recvmmsg drive the fast path. Can flip to
   /// false mid-life if the kernel reports ENOSYS on first use.
   [[nodiscard]] bool batched() const { return batched_; }
-  /// The bound port (after an ephemeral bind), 0 when unbound.
-  [[nodiscard]] std::uint16_t local_port() const;
 
   /// Sends every datagram in `batch` to `dest`, polling for
   /// writability on buffer pressure (the paper's select()-wait), so a
@@ -148,7 +147,7 @@ class DatagramChannel {
                      std::string* error);
   bool wait_writable();
 
-  int fd_ = -1;
+  Fd fd_;
   bool batched_ = false;
   int send_batch_limit_ = 1;
   int recv_batch_limit_ = 1;

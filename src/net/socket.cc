@@ -72,6 +72,14 @@ Fd listen_tcp_in_range(std::uint16_t base, std::uint16_t count, int backlog) {
   return {};
 }
 
+Fd bind_udp(std::uint16_t port) {
+  Fd fd(::socket(AF_INET, SOCK_DGRAM, 0));
+  if (!fd.valid()) return {};
+  const sockaddr_in addr = *make_addr("0.0.0.0", port);
+  if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) return {};
+  return fd;
+}
+
 std::uint16_t local_port(int fd) {
   sockaddr_in addr{};
   socklen_t len = sizeof addr;

@@ -6,12 +6,13 @@
 //  * stream sockets are non-blocking and every read or write carries a
 //    deadline, waiting on poll() in 10 ms steps so callers stay
 //    responsive to their own cancel and stall checks;
-//  * a port is advertised only once something listens on it, and
-//    listen_tcp_in_range holds the one rule for port ranges;
+//  * a port is advertised only once something listens on it (or, for
+//    a UDP data port, once it is bound), and listen_tcp_in_range holds
+//    the one rule for port ranges;
 //  * a connect retries on a fresh socket with capped exponential
 //    backoff (5 ms doubling to 200 ms), for a peer that is restarting
 //    or has not started yet.
-// The datagram side is net::DatagramChannel.
+// The datagram side is net::DatagramChannel; bind_udp is its one bind.
 #pragma once
 
 #include <netinet/in.h>
@@ -63,6 +64,12 @@ bool set_nonblocking(int fd);
 /// ranges: the kernel says which ports are free, so nothing has to
 /// track leases, and a port is known only once something listens on it.
 [[nodiscard]] Fd listen_tcp_in_range(std::uint16_t base, std::uint16_t count, int backlog);
+
+/// UDP socket bound to 0.0.0.0:`port`; port 0 lets the kernel choose.
+/// Invalid Fd when the socket cannot be created or bound. Bind first,
+/// name net::local_port() to the peer after, then wrap it with
+/// DatagramChannel::open.
+[[nodiscard]] Fd bind_udp(std::uint16_t port);
 
 /// The local port `fd` is bound to; 0 when it is not bound.
 [[nodiscard]] std::uint16_t local_port(int fd);

@@ -4,9 +4,9 @@
 // bugfix (a connected-but-silent client can no longer wedge the serve
 // loop), the refusal paths, resuming through fetch_file with one and
 // two stripes, pairing with a pre-striping server, per-stripe session
-// traces, and the rendezvous: every control port the server advertises
-// already listens. Servers bind kernel-chosen catalog and control
-// ports; only client data ports come from test_ports.h.
+// traces, and the rendezvous: every port either side names is bound
+// first. Servers bind kernel-chosen catalog and control ports, and
+// fetches kernel-chosen data ports.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -31,6 +31,7 @@
 #include "fobs/posix/fileserver.h"
 #include "fobs/stripe/plan.h"
 #include "fobs/stripe/negotiate.h"
+#include "fobs/stripe/striped_transfer.h"
 #include "net/socket.h"
 #include "test_ports.h"
 
@@ -96,7 +97,8 @@ TEST(FileServer, ThreeOverlappingFetchesAreByteIdentical) {
   ASSERT_TRUE(server.start());
   EXPECT_TRUE(server.running());
 
-  // Three clients fetch concurrently, each on its own UDP data port.
+  // Three clients fetch concurrently, each on its own kernel-chosen UDP
+  // data port.
   std::vector<posix::FetchResult> results(sizes.size());
   std::vector<std::thread> clients;
   for (std::size_t i = 0; i < sizes.size(); ++i) {
@@ -105,7 +107,6 @@ TEST(FileServer, ThreeOverlappingFetchesAreByteIdentical) {
       fetch.catalog_port = server.options().catalog_port;
       fetch.name = "dataset" + std::to_string(i) + ".bin";
       fetch.out_path = dir + "/fetched" + std::to_string(i) + ".bin";
-      fetch.data_port = test::port(static_cast<int>(i));
       fetch.quiet = true;
       fetch.endpoint.timeout_ms = 30'000;
       results[i] = posix::fetch_file(fetch);
@@ -160,7 +161,6 @@ TEST(FileServer, SilentCatalogClientTimesOutAndServiceContinues) {
   fetch.catalog_port = server.options().catalog_port;
   fetch.name = "dataset0.bin";
   fetch.out_path = dir + "/fetched0.bin";
-  fetch.data_port = test::port(4);
   fetch.quiet = true;
   fetch.endpoint.timeout_ms = 30'000;
   const auto result = posix::fetch_file(fetch);
@@ -236,7 +236,6 @@ TEST(FileServer, UnknownFileAndTraversalAreRefused) {
   missing.catalog_port = server.options().catalog_port;
   missing.name = "no-such-file.bin";
   missing.out_path = dir + "/never.bin";
-  missing.data_port = test::port(6);
   missing.quiet = true;
   const auto refused = posix::fetch_file(missing);
   EXPECT_EQ(refused.status, posix::TransferStatus::kPeerLost);
@@ -250,6 +249,38 @@ TEST(FileServer, UnknownFileAndTraversalAreRefused) {
   EXPECT_EQ(server.requests_refused(), 2u);
   EXPECT_EQ(server.transfers_started(), 0u);
   server.stop();
+}
+
+TEST(FileServer, TakenDataPortFailsBeforeTheServerStartsASession) {
+  // fetch_file binds its data port before the catalog line names it. A
+  // port another socket holds fails the fetch there: the server never
+  // hears of it, instead of starting a session that holds a worker and
+  // a control port until its timeout.
+  const std::string dir = ::testing::TempDir() + "fobs_fileserver_taken";
+  stage_files(dir, {64 * 1024});
+  posix::FileServerOptions options;
+  options.dir = dir;
+  options.quiet = true;
+  options.endpoint.timeout_ms = 4'000;
+  posix::FileServer server(options);
+  ASSERT_TRUE(server.start());
+
+  const net::Fd taken = net::bind_udp(0);
+  ASSERT_TRUE(taken.valid());
+  posix::FetchOptions fetch;
+  fetch.catalog_port = server.options().catalog_port;
+  fetch.name = "dataset0.bin";
+  fetch.out_path = dir + "/fetched.bin";
+  fetch.data_port = net::local_port(taken.get());
+  fetch.quiet = true;
+  fetch.endpoint.timeout_ms = 4'000;
+  const auto result = posix::fetch_file(fetch);
+  EXPECT_EQ(result.status, posix::TransferStatus::kSocketError) << result.error;
+  EXPECT_EQ(server.requests_handled(), 0u);
+  EXPECT_EQ(server.transfers_started(), 0u);
+  EXPECT_FALSE(std::filesystem::exists(fetch.out_path + ".part"));
+  server.stop();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FileServer, FetchAgainstARefusedPortFailsWithinItsTimeout) {
@@ -268,7 +299,6 @@ TEST(FileServer, FetchAgainstARefusedPortFailsWithinItsTimeout) {
   fetch.catalog_port = ntohs(addr.sin_port);
   fetch.name = "anything.bin";
   fetch.out_path = ::testing::TempDir() + "fobs_fileserver_refused.bin";
-  fetch.data_port = test::port(8);
   fetch.quiet = true;
   fetch.endpoint.timeout_ms = 300;
   const auto start = std::chrono::steady_clock::now();
@@ -295,7 +325,6 @@ TEST(FileServer, UnparseableHostFailsFastInsteadOfFetchingFromThisMachine) {
   fetch.catalog_port = server.options().catalog_port;
   fetch.name = "dataset0.bin";
   fetch.out_path = dir + "/fetched.bin";
-  fetch.data_port = test::port(36);
   fetch.quiet = true;
   fetch.endpoint.timeout_ms = 5'000;
   const auto start = std::chrono::steady_clock::now();
@@ -407,12 +436,11 @@ TEST(FileServer, FetchResumesFromPartialFileWithOneOrTwoStripes) {
   posix::FileServer server(options);
   ASSERT_TRUE(server.start());
 
-  auto fetch_to = [&](const std::string& out, std::uint16_t data_port, int stripes) {
+  auto fetch_to = [&](const std::string& out, int stripes) {
     posix::FetchOptions fetch;
     fetch.catalog_port = server.options().catalog_port;
     fetch.name = "dataset.bin";
     fetch.out_path = out;
-    fetch.data_port = data_port;
     fetch.stripes = stripes;
     fetch.quiet = true;
     fetch.endpoint.timeout_ms = 30'000;
@@ -429,7 +457,7 @@ TEST(FileServer, FetchResumesFromPartialFileWithOneOrTwoStripes) {
     SCOPED_TRACE("K=1 resumes exactly the marked packets");
     const std::string out = dir + "/one.bin";
     stage_partial_fetch(original, out, /*with_part=*/true, /*with_checkpoint=*/true);
-    const auto result = fetch_to(out, test::port(10), 1);
+    const auto result = fetch_to(out, 1);
     ASSERT_TRUE(result.completed()) << result.error;
     EXPECT_EQ(result.stripes, 1);
     EXPECT_EQ(result.packets_restored, kResumeMarked);
@@ -441,7 +469,7 @@ TEST(FileServer, FetchResumesFromPartialFileWithOneOrTwoStripes) {
     SCOPED_TRACE("K=2 stripes each restore their packets from the object-level checkpoint");
     const std::string out = dir + "/two.bin";
     stage_partial_fetch(original, out, true, true);
-    const auto result = fetch_to(out, test::port(12), 2);  // and the port after it
+    const auto result = fetch_to(out, 2);
     ASSERT_TRUE(result.completed()) << result.error;
     EXPECT_EQ(result.stripes, 2);
     EXPECT_FALSE(result.fallback_single_flow);
@@ -454,7 +482,7 @@ TEST(FileServer, FetchResumesFromPartialFileWithOneOrTwoStripes) {
     SCOPED_TRACE("a checkpoint without its .part is discarded");
     const std::string out = dir + "/orphan.bin";
     stage_partial_fetch(original, out, /*with_part=*/false, /*with_checkpoint=*/true);
-    const auto result = fetch_to(out, test::port(15), 1);
+    const auto result = fetch_to(out, 1);
     ASSERT_TRUE(result.completed()) << result.error;
     EXPECT_EQ(result.packets_restored, 0);
     EXPECT_TRUE(fetched_matches(out));
@@ -472,7 +500,7 @@ TEST(FileServer, FetchResumesFromPartialFileWithOneOrTwoStripes) {
                                          stripe::StripeLayout::kContiguous, &plan));
     ASSERT_TRUE(posix::save_checkpoint(
         out + ".ckpt.s0", first_packets_checkpoint(plan.stripe_bytes(0), kResumeMarked)));
-    const auto result = fetch_to(out, test::port(17), 1);
+    const auto result = fetch_to(out, 1);
     ASSERT_TRUE(result.completed()) << result.error;
     EXPECT_EQ(result.packets_restored, kResumeMarked);
     EXPECT_TRUE(fetched_matches(out));
@@ -494,15 +522,15 @@ TEST(FileServer, DefaultFetchPairsWithAPreStripingServer) {
   // serves a plain sender session on the replied control port. A fetch
   // that negotiated even a 1-stripe plan would have its FOBSSTRP token
   // dropped there and report a fallback.
-  const std::uint16_t kCatalogPort = test::port(20);
-  const std::uint16_t kControlPort = test::port(21);
-  const std::uint16_t kDataPort = test::port(22);
   auto object = core::TransferObject::pattern(96 * 1024 + 5, 0x01D);
   const std::string out = ::testing::TempDir() + "fobs_fileserver_prestriping.bin";
 
-  net::Fd listener = net::listen_tcp(kCatalogPort, 1);
+  net::Fd listener = net::listen_tcp(0, 1);
+  net::Fd control = net::listen_tcp(0, 1);
   ASSERT_TRUE(listener.valid());
+  ASSERT_TRUE(control.valid());
   std::string request;
+  int data_port = 0;
   posix::SenderResult served;
   std::thread stub([&] {
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -510,31 +538,33 @@ TEST(FileServer, DefaultFetchPairsWithAPreStripingServer) {
     if (!conn.valid()) return;
     char ch = 0;
     while (net::read_exact(conn.get(), &ch, 1, deadline) && ch != '\n') request.push_back(ch);
-    const std::string reply =
-        std::to_string(object.size()) + " " + std::to_string(kControlPort) + "\n";
+    std::sscanf(request.c_str(), "%*s %d", &data_port);
+    const std::string reply = std::to_string(object.size()) + " " +
+                              std::to_string(net::local_port(control.get())) + "\n";
     net::send_all(conn.get(), reply.data(), reply.size(), deadline);
     conn.reset();
     posix::SenderOptions plain;
-    plain.data_port = kDataPort;
-    plain.control_port = kControlPort;
+    plain.data_port = static_cast<std::uint16_t>(data_port);
     plain.endpoint.timeout_ms = 10'000;
+    posix::SessionParams params;
+    params.socket = std::move(control);
     posix::TransferEngine engine(posix::EngineOptions{.workers = 1});
-    auto handle = engine.submit_send(plain, object.view());
+    auto handle = engine.submit_send(plain, object.view(), std::move(params));
     handle.wait();
     served = handle.sender_result();
   });
 
   posix::FetchOptions fetch;
-  fetch.catalog_port = kCatalogPort;
+  fetch.catalog_port = net::local_port(listener.get());
   fetch.name = "dataset.bin";
   fetch.out_path = out;
-  fetch.data_port = kDataPort;
   fetch.quiet = true;
   fetch.endpoint.timeout_ms = 10'000;
   const auto result = posix::fetch_file(fetch);
   stub.join();
 
-  EXPECT_EQ(request, "dataset.bin " + std::to_string(kDataPort));
+  EXPECT_NE(data_port, 0);
+  EXPECT_EQ(request, "dataset.bin " + std::to_string(data_port));
   ASSERT_TRUE(result.completed()) << result.error;
   EXPECT_FALSE(result.fallback_single_flow);
   EXPECT_EQ(result.stripes, 1);
@@ -566,7 +596,6 @@ TEST(FileServer, StripedFetchWritesOneTracePerStripeSession) {
   fetch.catalog_port = server.options().catalog_port;
   fetch.name = "dataset0.bin";
   fetch.out_path = dir + "/fetched.bin";
-  fetch.data_port = test::port(24);  // and the port after it
   fetch.stripes = 2;
   fetch.quiet = true;
   fetch.endpoint.timeout_ms = 30'000;
@@ -650,14 +679,21 @@ TEST(FileServer, AdvertisedControlPortsAcceptTheFirstConnect) {
     ASSERT_TRUE(server.start());
     const std::uint16_t catalog = server.options().catalog_port;
 
+    // Each request names UDP ports this client has bound, as fetch_file
+    // does.
+    std::vector<net::Fd> data;
+    for (int i = 0; i < 1 + kStripes; ++i) data.push_back(net::bind_udp(0));
+    auto data_port = [&](int i) {
+      return net::local_port(data[static_cast<std::size_t>(i)].get());
+    };
     const std::uint16_t plain =
-        catalog_request(catalog, "dataset0.bin " + std::to_string(test::port(26)) + "\n");
+        catalog_request(catalog, "dataset0.bin " + std::to_string(data_port(0)) + "\n");
     ASSERT_NE(plain, 0);
     const net::Fd control(connect_tcp(plain));
     EXPECT_TRUE(control.valid()) << "catalog reply's control port " << plain << " refused";
 
     const std::uint16_t negotiation = catalog_request(
-        catalog, "dataset0.bin " + std::to_string(test::port(27)) + " " +
+        catalog, "dataset0.bin " + std::to_string(data_port(1)) + " " +
                      std::to_string(kStripes) + "\n");
     ASSERT_NE(negotiation, 0);
     net::Fd conn(connect_tcp(negotiation));
@@ -667,7 +703,7 @@ TEST(FileServer, AdvertisedControlPortsAcceptTheFirstConnect) {
     request.object_bytes = kBytes;
     request.packet_bytes = options.endpoint.packet_bytes;
     for (int i = 0; i < kStripes; ++i) {
-      request.data_ports.push_back(static_cast<std::uint16_t>(test::port(27) + i));
+      request.data_ports.push_back(data_port(1 + i));
     }
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
     const auto wire = stripe::encode_stripe_request(request);
@@ -685,6 +721,81 @@ TEST(FileServer, AdvertisedControlPortsAcceptTheFirstConnect) {
     server.stop();
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(FileServer, FourStripeFetchNamesFourKernelChosenDataPorts) {
+  // data_port 0: each stripe binds its own kernel-chosen port before a
+  // request names it, so the ports need not be contiguous. A stub
+  // server reads them off the wire (the catalog line, then the FOBSSTRP
+  // request) and serves them with real sender sessions.
+  constexpr std::int64_t kBytes = 512 * 1024 + 9;
+  constexpr int kStripes = 4;
+  auto object = core::TransferObject::pattern(kBytes, 0x4B0);
+  const std::string out = ::testing::TempDir() + "fobs_fileserver_kernel_ports.bin";
+  std::filesystem::remove(out);
+  net::Fd catalog = net::listen_tcp(0, 1);
+  net::Fd negotiation = net::listen_tcp(0, 1);
+  ASSERT_TRUE(catalog.valid());
+  ASSERT_TRUE(negotiation.valid());
+
+  posix::TransferEngine engine(posix::EngineOptions{.workers = kStripes});
+  std::string line;
+  std::vector<std::uint16_t> named;
+  std::thread stub([&] {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    net::Fd conn = net::accept_until(catalog.get(), deadline);
+    if (!conn.valid()) return;
+    char ch = 0;
+    while (net::read_exact(conn.get(), &ch, 1, deadline) && ch != '\n') line.push_back(ch);
+    const std::string reply = std::to_string(object.size()) + " " +
+                              std::to_string(net::local_port(negotiation.get())) + "\n";
+    net::send_all(conn.get(), reply.data(), reply.size(), deadline);
+    conn = net::accept_until(negotiation.get(), deadline);
+    if (!conn.valid()) return;
+    std::vector<std::uint8_t> frame(stripe::stripe_request_size(kStripes));
+    if (!net::read_exact(conn.get(), frame.data(), frame.size(), deadline)) return;
+    const auto request = stripe::decode_stripe_request(frame.data(), frame.size());
+    if (!request) return;
+    named = request->data_ports;
+    posix::StripeLaunch launch{.layout = request->layout, .peer_ports = request->data_ports};
+    stripe::StripeResponse response{request->layout, {}};
+    for (int i = 0; i < kStripes; ++i) {
+      launch.sockets.push_back(net::listen_tcp(0, 1));
+      response.control_ports.push_back(net::local_port(launch.sockets.back().get()));
+    }
+    const auto wire = stripe::encode_stripe_response(response);
+    net::send_all(conn.get(), wire.data(), wire.size(), deadline);
+    posix::StripedSenderOptions send;
+    send.endpoint.timeout_ms = 10'000;
+    engine.launch_striped_send(send, object.view(), std::move(launch), {});
+  });
+
+  posix::FetchOptions fetch;
+  fetch.catalog_port = net::local_port(catalog.get());
+  fetch.name = "dataset.bin";
+  fetch.out_path = out;
+  fetch.stripes = kStripes;
+  fetch.quiet = true;
+  fetch.endpoint.timeout_ms = 10'000;
+  const auto result = posix::fetch_file(fetch);
+  stub.join();
+
+  ASSERT_TRUE(result.completed()) << result.error;
+  EXPECT_EQ(result.stripes, kStripes);
+  EXPECT_EQ(result.checksum, object.checksum());
+  ASSERT_EQ(named.size(), static_cast<std::size_t>(kStripes));
+  EXPECT_EQ(line, "dataset.bin " + std::to_string(named.front()) + " 4");
+  int lo = 0;
+  int hi = 0;
+  std::ifstream("/proc/sys/net/ipv4/ip_local_port_range") >> lo >> hi;
+  for (const auto port : named) {
+    EXPECT_EQ(std::count(named.begin(), named.end(), port), 1) << port;
+    if (hi > 0) {
+      EXPECT_GE(port, lo);
+      EXPECT_LE(port, hi);
+    }
+  }
+  std::filesystem::remove(out);
 }
 
 TEST(FileServer, ExhaustedControlRangeRefusesUntilAPortFrees) {
@@ -705,7 +816,6 @@ TEST(FileServer, ExhaustedControlRangeRefusesUntilAPortFrees) {
   fetch.catalog_port = server.options().catalog_port;
   fetch.name = "dataset0.bin";
   fetch.out_path = dir + "/fetched0.bin";
-  fetch.data_port = test::port(33);
   fetch.quiet = true;
   fetch.endpoint.timeout_ms = 30'000;
   {
@@ -720,9 +830,9 @@ TEST(FileServer, ExhaustedControlRangeRefusesUntilAPortFrees) {
   wait_transfers_settled(server);
   // The session's port is the range's one port, free again once the
   // session ended.
-  EXPECT_EQ(catalog_request(server.options().catalog_port,
-                            "dataset0.bin " + std::to_string(test::port(34)) + "\n"),
-            options.control_port_base);
+  const net::Fd data = net::bind_udp(0);
+  const std::string line = "dataset0.bin " + std::to_string(net::local_port(data.get())) + "\n";
+  EXPECT_EQ(catalog_request(server.options().catalog_port, line), options.control_port_base);
   server.stop();
   std::filesystem::remove_all(dir);
 }

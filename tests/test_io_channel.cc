@@ -28,6 +28,7 @@
 #include "fobs/posix/posix_transfer.h"
 #include "fobs/sim_transfer.h"
 #include "net/datagram_channel.h"
+#include "net/socket.h"
 #include "test_ports.h"
 
 namespace fobs {
@@ -144,7 +145,7 @@ TEST(IoChannel, BatchRoundTripsGatheredDatagramsByteExact) {
   constexpr std::size_t kPayloadBytes = 512;
   auto rx = net::DatagramChannel::open(io, kHeaderBytes + kPayloadBytes, 0, &error);
   ASSERT_TRUE(rx.valid()) << error;
-  ASSERT_NE(rx.local_port(), 0);
+  ASSERT_NE(net::local_port(rx.fd()), 0);
   auto tx = net::DatagramChannel::open(io, kHeaderBytes + kPayloadBytes, std::nullopt, &error);
   ASSERT_TRUE(tx.valid()) << error;
 
@@ -163,7 +164,7 @@ TEST(IoChannel, BatchRoundTripsGatheredDatagramsByteExact) {
                      std::span<const std::uint8_t>(payload.data() + i * kPayloadBytes,
                                                    kPayloadBytes)});
   }
-  const auto dest = loopback(rx.local_port());
+  const auto dest = loopback(net::local_port(rx.fd()));
   ASSERT_TRUE(tx.send_batch(batch, dest, &error)) << error;
   EXPECT_EQ(tx.stats().datagrams_sent, static_cast<std::uint64_t>(kCount));
 
@@ -233,7 +234,7 @@ TEST(IoChannel, GarbageAndShortDatagramsSurviveMidBatch) {
   for (const auto& datagram : wire) {
     batch.push_back({std::span<const std::uint8_t>(datagram)});
   }
-  ASSERT_TRUE(tx.send_batch(batch, loopback(rx.local_port()), &error)) << error;
+  ASSERT_TRUE(tx.send_batch(batch, loopback(net::local_port(rx.fd())), &error)) << error;
 
   std::vector<net::RecvView> views(8);
   std::size_t received = 0;
