@@ -3,7 +3,8 @@
 // loopback comparison of the batched (sendmmsg/recvmmsg scatter-gather)
 // and fallback (sendto/recvfrom + assembly copy) datagram I/O paths.
 // The comparison always runs first and writes its machine-readable
-// result to BENCH_io.json (syscalls per packet and MB/s per mode).
+// result to BENCH_io.json (syscalls per packet, MB/s and ns per
+// datagram per mode, at 8 KiB and 1 KiB datagrams, with the host).
 #include <benchmark/benchmark.h>
 
 #include <arpa/inet.h>
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/bitmap.h"
 #include "common/crc32.h"
 #include "common/crc32_detail.h"
@@ -248,60 +250,58 @@ IoRunResult pump_loopback(fobs::net::IoMode mode, int count, std::size_t datagra
   return result;
 }
 
+double syscalls_per_packet(const IoRunResult& r) {
+  return r.tx.datagrams_sent > 0
+             ? static_cast<double>(r.tx.send_syscalls) / static_cast<double>(r.tx.datagrams_sent)
+             : 0.0;
+}
+
 void append_io_json(std::FILE* f, const char* key, const IoRunResult& r) {
-  const double per_packet =
-      r.tx.datagrams_sent > 0
-          ? static_cast<double>(r.tx.send_syscalls) / static_cast<double>(r.tx.datagrams_sent)
-          : 0.0;
+  const double ns_per_dgram =
+      r.tx.datagrams_sent > 0 ? r.seconds * 1e9 / static_cast<double>(r.tx.datagrams_sent) : 0.0;
   std::fprintf(f,
-               "  \"%s\": {\"mb_per_s\": %.1f, \"send_syscalls\": %llu, "
-               "\"datagrams\": %llu, \"syscalls_per_packet\": %.4f, "
-               "\"copy_bytes_avoided\": %lld}",
-               key, r.mb_per_s, static_cast<unsigned long long>(r.tx.send_syscalls),
-               static_cast<unsigned long long>(r.tx.datagrams_sent), per_packet,
+               "\"%s\": {\"mb_per_s\": %.1f, \"ns_per_dgram\": %.0f, \"send_syscalls\": %llu, "
+               "\"datagrams\": %llu, \"segmented_messages\": %llu, "
+               "\"syscalls_per_packet\": %.4f, \"copy_bytes_avoided\": %lld}",
+               key, r.mb_per_s, ns_per_dgram, static_cast<unsigned long long>(r.tx.send_syscalls),
+               static_cast<unsigned long long>(r.tx.datagrams_sent),
+               static_cast<unsigned long long>(r.tx.segmented_messages), syscalls_per_packet(r),
                static_cast<long long>(r.tx.copy_bytes_avoided));
 }
 
-/// Runs the batched-vs-fallback comparison and writes BENCH_io.json.
+/// Runs the batched-vs-fallback comparison at 8 KiB and 1 KiB datagrams
+/// and writes BENCH_io.json, one row per size, with the host it ran on.
 void write_io_comparison(const char* path) {
   constexpr int kDatagrams = 20'000;
-  constexpr std::size_t kDatagramBytes = 8 * 1024;
-  const auto fallback = pump_loopback(fobs::net::IoMode::kFallback, kDatagrams, kDatagramBytes);
-#if defined(__linux__)
-  const auto batched = pump_loopback(fobs::net::IoMode::kBatched, kDatagrams, kDatagramBytes);
-#else
-  const auto batched = fallback;
-#endif
-  const double reduction =
-      batched.tx.send_syscalls > 0 && fallback.tx.datagrams_sent > 0 &&
-              batched.tx.datagrams_sent > 0
-          ? (static_cast<double>(fallback.tx.send_syscalls) /
-             static_cast<double>(fallback.tx.datagrams_sent)) /
-                (static_cast<double>(batched.tx.send_syscalls) /
-                 static_cast<double>(batched.tx.datagrams_sent))
-          : 0.0;
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) return;
-  std::fprintf(f, "{\n  \"datagram_bytes\": %zu,\n  \"datagrams\": %d,\n", kDatagramBytes,
-               kDatagrams);
-  append_io_json(f, "batched", batched);
-  std::fprintf(f, ",\n");
-  append_io_json(f, "fallback", fallback);
-  std::fprintf(f, ",\n  \"syscall_reduction\": %.1f\n}\n", reduction);
+  std::fprintf(f, "{\n  \"host\": %s,\n  \"datagrams\": %d,\n  \"rows\": [",
+               fobs::benchutil::host_fingerprint_json().c_str(), kDatagrams);
+  const std::size_t sizes[] = {8 * 1024, 1024};
+  for (const std::size_t datagram_bytes : sizes) {
+    const auto fallback = pump_loopback(fobs::net::IoMode::kFallback, kDatagrams, datagram_bytes);
+#if defined(__linux__)
+    const auto batched = pump_loopback(fobs::net::IoMode::kBatched, kDatagrams, datagram_bytes);
+#else
+    const auto batched = fallback;
+#endif
+    const double reduction = syscalls_per_packet(batched) > 0
+                                 ? syscalls_per_packet(fallback) / syscalls_per_packet(batched)
+                                 : 0.0;
+    std::fprintf(f, "%s\n    {\"datagram_bytes\": %zu, ", datagram_bytes == sizes[0] ? "" : ",",
+                 datagram_bytes);
+    append_io_json(f, "batched", batched);
+    std::fprintf(f, ", ");
+    append_io_json(f, "fallback", fallback);
+    std::fprintf(f, ", \"syscall_reduction\": %.1f}", reduction);
+    std::printf("BENCH_io %zu B: batched %.0f MB/s (%.4f syscalls/pkt), fallback %.0f MB/s "
+                "(%.4f syscalls/pkt), %.1fx fewer syscalls\n",
+                datagram_bytes, batched.mb_per_s, syscalls_per_packet(batched),
+                fallback.mb_per_s, syscalls_per_packet(fallback), reduction);
+  }
+  std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);
-  std::printf("BENCH_io: batched %.0f MB/s (%.4f syscalls/pkt), fallback %.0f MB/s "
-              "(%.4f syscalls/pkt), %.1fx fewer syscalls -> %s\n",
-              batched.mb_per_s,
-              batched.tx.datagrams_sent > 0
-                  ? static_cast<double>(batched.tx.send_syscalls) /
-                        static_cast<double>(batched.tx.datagrams_sent)
-                  : 0.0,
-              fallback.mb_per_s,
-              fallback.tx.datagrams_sent > 0
-                  ? static_cast<double>(fallback.tx.send_syscalls) /
-                        static_cast<double>(fallback.tx.datagrams_sent)
-                  : 0.0,
-              reduction, path);
+  std::printf("BENCH_io -> %s\n", path);
 }
 
 /// The same comparison as a google-benchmark case: arg 0 = batched,

@@ -8,10 +8,13 @@
 // (see docs/TELEMETRY.md).
 #pragma once
 
+#include <sys/utsname.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <thread>
 
 #include "common/table.h"
 #include "exp/runner.h"
@@ -29,6 +32,33 @@ inline int seed_count_from_env(int fallback = 3) {
 inline bool csv_from_env() {
   const char* env = std::getenv("FOBS_BENCH_CSV");
   return env != nullptr && env[0] == '1';
+}
+
+/// The host a bench JSON was measured on, as a JSON object: cores, CPU
+/// model and kernel, so numbers from different hosts are never compared
+/// by mistake.
+inline std::string host_fingerprint_json() {
+  std::string cpu = "unknown";
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[512];
+    while (std::fgets(line, sizeof line, f) != nullptr) {
+      const std::string text(line);
+      if (text.rfind("model name", 0) != 0) continue;
+      const auto colon = text.find(':');
+      if (colon != std::string::npos) cpu = text.substr(text.find_first_not_of(' ', colon + 1));
+      while (!cpu.empty() && (cpu.back() == '\n' || cpu.back() == ' ')) cpu.pop_back();
+      break;
+    }
+    std::fclose(f);
+  }
+  for (char& c : cpu) {
+    if (c == '"' || c == '\\') c = ' ';
+  }
+  utsname uts{};
+  ::uname(&uts);
+  return "{\"cores\": " + std::to_string(std::thread::hardware_concurrency()) + ", \"cpu\": \"" +
+         cpu + "\", \"kernel\": \"" + uts.sysname + " " + uts.release + " " + uts.machine +
+         "\"}";
 }
 
 /// Directory for JSONL telemetry dumps, or "" when tracing is off.

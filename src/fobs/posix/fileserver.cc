@@ -22,18 +22,23 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Longest catalog line accepted, newline excluded: 511 bytes.
+constexpr std::size_t kMaxLineBytes = 512;
+
 /// Reads one '\n'-terminated line (newline stripped) from a stream
 /// socket, giving up at `deadline` or as soon as `abort` (optional) is
 /// set. The timeout is what keeps a connected-but-silent client from
 /// wedging a catalog worker forever; the abort flag lets a server
 /// shutdown reclaim such a worker without waiting out the timeout.
-/// Returns false on timeout/abort/EOF/error; `line` holds whatever
-/// arrived.
+/// Reads in chunks: each catalog connection carries one line each way,
+/// so whatever follows the newline is never meant for a later read.
+/// Returns false on timeout/abort/EOF/error or a line of
+/// kMaxLineBytes or more; `line` holds whatever arrived.
 bool recv_line(int fd, Clock::time_point deadline, std::string& line,
                const std::atomic<bool>* abort = nullptr) {
   line.clear();
-  char ch = 0;
-  while (line.size() < 512) {
+  char chunk[kMaxLineBytes];
+  while (line.size() < kMaxLineBytes) {
     if (abort != nullptr && abort->load(std::memory_order_relaxed)) return false;
     const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
         deadline - Clock::now());
@@ -43,14 +48,16 @@ bool recv_line(int fd, Clock::time_point deadline, std::string& line,
                                           remaining.count(), 100)));
     if (ready < 0 && errno != EINTR) return false;
     if (ready <= 0) continue;
-    const ssize_t n = ::recv(fd, &ch, 1, 0);
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
     if (n == 0) return false;  // EOF before the newline
     if (n < 0) {
       if (errno == EWOULDBLOCK || errno == EAGAIN || errno == EINTR) continue;
       return false;
     }
-    if (ch == '\n') return true;
-    line.push_back(ch);
+    const char* end = chunk + n;
+    const char* newline = std::find(static_cast<const char*>(chunk), end, '\n');
+    line.append(chunk, static_cast<std::size_t>(newline - chunk));
+    if (newline != end) return line.size() < kMaxLineBytes;
   }
   return false;  // over-long request line
 }

@@ -246,6 +246,8 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
   // views point straight into the caller's (typically mmap'd) object —
   // zero payload copies — except when a fault corrupts a private copy.
   std::vector<std::array<std::uint8_t, kDataHeaderSize>> headers;
+  const std::size_t datagram_bytes =
+      kDataHeaderSize + static_cast<std::size_t>(spec.packet_bytes);
   std::vector<fobs::net::DatagramView> views;
   std::vector<std::vector<std::uint8_t>> corrupt_payloads;
   std::vector<fobs::net::RecvView> ack_views(
@@ -350,18 +352,35 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
     // buffer + a pointer into the object) and push it with as few send
     // syscalls as the channel can manage.
     const int batch = core.current_batch_size();
-    headers.resize(static_cast<std::size_t>(std::max(batch, 1)));
+    const int capacity = channel.segment_capacity(datagram_bytes);
+    headers.resize(static_cast<std::size_t>(std::max({batch, capacity, 1})));
     views.clear();
     corrupt_payloads.clear();
     int selected = 0;
     bool crash_pending = false;
-    for (int i = 0; i < batch && !core.all_acked(); ++i) {
+    bool first_pass = true;  // every packet selected so far is a first transmission
+    // Another whole batch joins this send only while the first pass
+    // runs: an ACK can mark only packets already sent, so the circular
+    // policy picks the same packets whenever ACKs are read. The send
+    // must fit one segmented message, and the packets sent but not yet
+    // acked (resumed packets were never sent) stay within
+    // kMaxBatchDatagrams, so a receiver that drains slowly, or not at
+    // all, sets the pace.
+    auto gather_more = [&] {
+      const auto& stats = core.stats();
+      const std::int64_t unacked =
+          stats.packets_sent - (stats.packets_acked - session.stats().packets_resumed);
+      return first_pass && core.pacing_gap() == fobs::util::Duration::zero() &&
+             selected + batch <= capacity && unacked + batch <= fobs::net::kMaxBatchDatagrams;
+    };
+    for (int limit = batch; selected < limit && !core.all_acked();) {
       if (session.crash_due()) {
         crash_pending = true;  // what is already gathered still goes out
         break;
       }
       const auto seq = core.select_next();
       if (!seq) break;
+      first_pass = first_pass && core.send_counts()[static_cast<std::size_t>(*seq)] == 1;
       const std::int64_t len = spec.payload_bytes(*seq);
       const std::uint8_t* payload = object.data() + plan.global_offset(stripe.index, *seq);
       auto& header_buf = headers[static_cast<std::size_t>(selected)];
@@ -383,6 +402,7 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
                                                        static_cast<std::size_t>(len))});
       }
       ++selected;
+      if (selected == limit && gather_more()) limit += batch;
     }
     if (!views.empty() && !channel.send_batch(views, *peer, &io_error)) {
       result.status = TransferStatus::kSocketError;

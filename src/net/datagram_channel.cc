@@ -1,6 +1,7 @@
 #include "net/datagram_channel.h"
 
 #include <arpa/inet.h>
+#include <netinet/udp.h>
 #include <poll.h>
 #include <sys/socket.h>
 
@@ -24,6 +25,35 @@ bool retryable_errno(int err) {
 /// Errors that mean "this kernel does not do batched datagram I/O" —
 /// the channel degrades to the fallback path instead of failing.
 bool unsupported_errno(int err) { return err == ENOSYS || err == EOPNOTSUPP; }
+
+/// Errors with which the kernel refuses a UDP_SEGMENT message while it
+/// would take the same datagrams one per message: EMSGSIZE and EINVAL
+/// (a segment over the path MTU, a socket with UDP checksums off), EIO
+/// (a device or transform that cannot segment), ENOPROTOOPT and
+/// EOPNOTSUPP (no UDP GSO at all).
+bool segment_refused_errno(int err) {
+  return err == EMSGSIZE || err == EINVAL || err == EIO || err == ENOPROTOOPT ||
+         err == EOPNOTSUPP;
+}
+
+/// How many datagrams from the front of `batch` one UDP_SEGMENT
+/// message carries: a run of equal-size datagrams, closed by the first
+/// shorter one (the kernel cuts every segment but the last to the
+/// first's size), within kMaxSegments and kMaxSegmentedBytes. An empty
+/// datagram never joins a run: as a last segment it would vanish.
+std::size_t segment_run(std::span<const DatagramView> batch) {
+  const std::size_t segment_bytes = batch[0].size();
+  std::size_t run = 1;
+  std::size_t run_bytes = segment_bytes;
+  while (run < batch.size() && run < static_cast<std::size_t>(kMaxSegments) &&
+         batch[run - 1].size() == segment_bytes) {
+    const std::size_t next = batch[run].size();
+    if (next == 0 || next > segment_bytes || run_bytes + next > kMaxSegmentedBytes) break;
+    run_bytes += next;
+    ++run;
+  }
+  return run;
+}
 
 void set_error(std::string* error, const char* what) {
   if (error != nullptr) *error = std::string(what) + ": " + std::strerror(errno);
@@ -123,8 +153,20 @@ DatagramChannel DatagramChannel::open(const IoOptions& io, std::size_t max_datag
     ::setsockopt(socket.get(), SOL_SOCKET, SO_RCVBUF, &buf, sizeof buf);
   }
 
+  // Probe UDP GSO once: a kernel without it rejects the option, and
+  // would otherwise ignore the control message and send a whole run as
+  // one oversized datagram. Size 0 leaves per-message sizes in charge.
+  bool segmenting = false;
+#if defined(UDP_SEGMENT)
+  if (batched) {
+    const int off = 0;
+    segmenting = ::setsockopt(socket.get(), SOL_UDP, UDP_SEGMENT, &off, sizeof off) == 0;
+  }
+#endif
+
   channel.fd_ = std::move(socket);
   channel.batched_ = batched;
+  channel.segmenting_ = segmenting;
   channel.send_batch_limit_ = batched ? io.send_batch : 1;
   channel.recv_batch_limit_ = batched ? io.recv_batch : 1;
   channel.slot_bytes_ = max_datagram_bytes;
@@ -134,6 +176,8 @@ DatagramChannel DatagramChannel::open(const IoOptions& io, std::size_t max_datag
   auto& metrics = fobs::telemetry::MetricsRegistry::global();
   channel.syscalls_metric_ = &metrics.counter("fobs.io.syscalls");
   channel.copy_avoided_metric_ = &metrics.counter("fobs.io.copy_bytes_avoided");
+  channel.segmented_metric_ = &metrics.counter("fobs.io.segmented_messages");
+  if (batched && !segmenting) metrics.counter("fobs.io.segment_fallbacks").inc();
   channel.per_syscall_metric_ =
       &metrics.histogram("fobs.io.datagrams_per_syscall", {1, 2, 4, 8, 16, 32, 64});
   metrics.counter(batched ? "fobs.io.batched_channels" : "fobs.io.fallback_channels").inc();
@@ -192,6 +236,13 @@ bool DatagramChannel::send_fallback(const DatagramView& datagram, const sockaddr
   }
 }
 
+int DatagramChannel::segment_capacity(std::size_t datagram_bytes) const {
+  if (!segmenting_ || datagram_bytes == 0) return 1;
+  const auto by_bytes = static_cast<int>(
+      std::min<std::size_t>(kMaxSegmentedBytes / datagram_bytes, kMaxSegments));
+  return std::max(1, std::min(by_bytes, send_batch_limit_));
+}
+
 bool DatagramChannel::send_batch(std::span<const DatagramView> batch, const sockaddr_in& dest,
                                  std::string* error) {
   if (!fd_.valid()) {
@@ -201,39 +252,69 @@ bool DatagramChannel::send_batch(std::span<const DatagramView> batch, const sock
   std::size_t off = 0;
 #if defined(__linux__)
   while (batched_ && off < batch.size()) {
-    const int want = static_cast<int>(std::min<std::size_t>(batch.size() - off,
-                                                            static_cast<std::size_t>(
-                                                                send_batch_limit_)));
+    const std::size_t want =
+        std::min(batch.size() - off, static_cast<std::size_t>(send_batch_limit_));
     mmsghdr msgs[kMaxBatchDatagrams];
-    iovec iovs[kMaxBatchDatagrams][2];
-    std::memset(msgs, 0, static_cast<std::size_t>(want) * sizeof(mmsghdr));
-    for (int i = 0; i < want; ++i) {
-      const DatagramView& d = batch[off + static_cast<std::size_t>(i)];
-      iovs[i][0] = {const_cast<std::uint8_t*>(d.header.data()), d.header.size()};
-      int iov_count = 1;
-      if (!d.payload.empty()) {
-        iovs[i][1] = {const_cast<std::uint8_t*>(d.payload.data()), d.payload.size()};
-        iov_count = 2;
+    iovec iovs[kMaxBatchDatagrams * 2];
+    int segments[kMaxBatchDatagrams];  // datagrams carried by each message
+#if defined(UDP_SEGMENT)
+    alignas(cmsghdr) std::uint8_t controls[kMaxBatchDatagrams]
+                                          [CMSG_SPACE(sizeof(std::uint16_t))];
+#endif
+    int message_count = 0;
+    std::size_t iov_count = 0;
+    for (std::size_t i = 0; i < want;) {
+      const std::size_t run = segmenting_ ? segment_run(batch.subspan(off + i, want - i)) : 1;
+      mmsghdr& msg = msgs[message_count];
+      std::memset(&msg, 0, sizeof msg);
+      msg.msg_hdr.msg_name = const_cast<sockaddr_in*>(&dest);
+      msg.msg_hdr.msg_namelen = sizeof dest;
+      msg.msg_hdr.msg_iov = &iovs[iov_count];
+      for (std::size_t k = 0; k < run; ++k) {
+        const DatagramView& d = batch[off + i + k];
+        iovs[iov_count++] = {const_cast<std::uint8_t*>(d.header.data()), d.header.size()};
+        if (!d.payload.empty()) {
+          iovs[iov_count++] = {const_cast<std::uint8_t*>(d.payload.data()), d.payload.size()};
+        }
       }
-      msgs[i].msg_hdr.msg_name = const_cast<sockaddr_in*>(&dest);
-      msgs[i].msg_hdr.msg_namelen = sizeof dest;
-      msgs[i].msg_hdr.msg_iov = iovs[i];
-      msgs[i].msg_hdr.msg_iovlen = static_cast<std::size_t>(iov_count);
+      msg.msg_hdr.msg_iovlen = static_cast<std::size_t>(&iovs[iov_count] - msg.msg_hdr.msg_iov);
+#if defined(UDP_SEGMENT)
+      if (run > 1) {
+        msg.msg_hdr.msg_control = controls[message_count];
+        msg.msg_hdr.msg_controllen = sizeof controls[message_count];
+        cmsghdr* cm = CMSG_FIRSTHDR(&msg.msg_hdr);
+        cm->cmsg_level = SOL_UDP;
+        cm->cmsg_type = UDP_SEGMENT;
+        cm->cmsg_len = CMSG_LEN(sizeof(std::uint16_t));
+        const auto gso_size = static_cast<std::uint16_t>(batch[off + i].size());
+        std::memcpy(CMSG_DATA(cm), &gso_size, sizeof gso_size);
+      }
+#endif
+      segments[message_count++] = static_cast<int>(run);
+      i += run;
     }
-    const int sent = ::sendmmsg(fd_.get(), msgs, static_cast<unsigned>(want), 0);
+    const int sent = ::sendmmsg(fd_.get(), msgs, static_cast<unsigned>(message_count), 0);
     if (sent > 0) {
+      std::size_t datagrams = 0;
+      std::uint64_t segmented = 0;
+      for (int m = 0; m < sent; ++m) {
+        datagrams += static_cast<std::size_t>(segments[m]);
+        if (segments[m] > 1) ++segmented;
+      }
       std::int64_t avoided = 0;
       std::int64_t bytes = 0;
-      for (int i = 0; i < sent; ++i) {
-        const DatagramView& d = batch[off + static_cast<std::size_t>(i)];
+      for (std::size_t i = 0; i < datagrams; ++i) {
+        const DatagramView& d = batch[off + i];
         avoided += static_cast<std::int64_t>(d.payload.size());
         bytes += static_cast<std::int64_t>(d.size());
       }
-      note_syscall(/*send=*/true, sent);
+      note_syscall(/*send=*/true, static_cast<int>(datagrams));
       stats_.bytes_sent += bytes;
       stats_.copy_bytes_avoided += avoided;
+      stats_.segmented_messages += segmented;
       copy_avoided_metric_->inc(avoided);
-      off += static_cast<std::size_t>(sent);
+      if (segmented > 0) segmented_metric_->inc(static_cast<std::int64_t>(segmented));
+      off += datagrams;
       continue;
     }
     if (retryable_errno(errno)) {
@@ -241,6 +322,16 @@ bool DatagramChannel::send_batch(std::span<const DatagramView> batch, const sock
         set_error(error, "poll failed");
         return false;
       }
+      continue;
+    }
+    // The refused message is the call's first; resend its datagrams,
+    // and everything after them, one per message.
+    if (segments[0] > 1 && segment_refused_errno(errno)) {
+      FOBS_WARN("fobs.net.io", "kernel refused a UDP_SEGMENT message ("
+                                   << std::strerror(errno)
+                                   << "); sending one datagram per message");
+      segmenting_ = false;
+      fobs::telemetry::MetricsRegistry::global().counter("fobs.io.segment_fallbacks").inc();
       continue;
     }
     if (unsupported_errno(errno)) {

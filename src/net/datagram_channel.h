@@ -8,18 +8,32 @@
 //    each datagram gathered from two iovecs (header buffer + a pointer
 //    straight into the caller's object mapping), so the payload is
 //    never assembled into an intermediate packet buffer;
+//  * within that call, each run of equal-size datagrams (the last may
+//    be shorter) travels as one UDP_SEGMENT message of at most
+//    kMaxSegments datagrams and kMaxSegmentedBytes bytes. The kernel
+//    cuts the message back into exactly those datagrams, so the wire
+//    is unchanged; what it saves is the per-datagram trip through the
+//    UDP/IP stack, the sender's largest per-packet cost;
 //  * recv_batch() drains the socket with one recvmmsg() call into a
 //    pooled buffer ring owned by the channel.
 // When sendmmsg/recvmmsg are unavailable (non-Linux builds, ENOSYS at
 // runtime) — or when forced via IoOptions::mode / FOBS_IO_MODE — the
 // channel degrades to the classic one-sendto/one-recvfrom-per-datagram
-// path with an assembly copy, byte-identical on the wire.
+// path with an assembly copy, byte-identical on the wire. When the
+// kernel refuses a segmented message (no UDP_SEGMENT support, a segment
+// larger than the path MTU, a socket without UDP checksums), the
+// channel stops segmenting for the rest of its life and resends those
+// datagrams one per message.
 //
 // Telemetry (global metrics registry):
 //   fobs.io.syscalls              data-plane syscalls that moved >=1 datagram
 //   fobs.io.datagrams_per_syscall histogram of datagrams moved per syscall
 //   fobs.io.copy_bytes_avoided    payload bytes gathered directly from
 //                                 caller memory instead of being copied
+//   fobs.io.segmented_messages    UDP_SEGMENT messages sent (>= 2 datagrams each)
+//   fobs.io.segment_fallbacks     batched channels that do not segment:
+//                                 the UDP_SEGMENT probe at open() failed,
+//                                 or the kernel refused a segmented message
 #pragma once
 
 #include <netinet/in.h>
@@ -42,6 +56,11 @@ namespace fobs::net {
 /// Hard ceiling on datagrams per batched syscall (bounds the stack
 /// arrays of mmsghdr/iovec and the receive pool).
 inline constexpr int kMaxBatchDatagrams = 64;
+
+/// Limits of one UDP_SEGMENT message: the kernel's segment cap and the
+/// largest IPv4 UDP payload (65,535 - 20 IP - 8 UDP header bytes).
+inline constexpr int kMaxSegments = 64;
+inline constexpr std::size_t kMaxSegmentedBytes = 65'507;
 
 enum class IoMode : std::uint8_t {
   kAuto = 0,  ///< batched when the platform has it; FOBS_IO_MODE may override
@@ -74,7 +93,9 @@ struct IoOptions {
 struct IoStats {
   std::uint64_t send_syscalls = 0;
   std::uint64_t recv_syscalls = 0;
-  std::uint64_t datagrams_sent = 0;
+  std::uint64_t datagrams_sent = 0;  ///< datagrams, however many per message
+  /// Messages that carried two or more datagrams as UDP_SEGMENT segments.
+  std::uint64_t segmented_messages = 0;
   std::uint64_t datagrams_received = 0;
   std::uint64_t send_would_block = 0;
   std::int64_t bytes_sent = 0;
@@ -124,12 +145,21 @@ class DatagramChannel {
   /// True while sendmmsg/recvmmsg drive the fast path. Can flip to
   /// false mid-life if the kernel reports ENOSYS on first use.
   [[nodiscard]] bool batched() const { return batched_; }
+  /// True while send_batch() joins runs of equal-size datagrams into
+  /// UDP_SEGMENT messages. Flips to false for good if the kernel
+  /// refuses one.
+  [[nodiscard]] bool segmenting() const { return segmenting_; }
+  /// How many datagrams of `datagram_bytes` one send can carry as a
+  /// single message: 1 when not segmenting, else bounded by the
+  /// segment caps and IoOptions::send_batch.
+  [[nodiscard]] int segment_capacity(std::size_t datagram_bytes) const;
 
   /// Sends every datagram in `batch` to `dest`, polling for
   /// writability on buffer pressure (the paper's select()-wait), so a
-  /// true return means all of them entered the kernel. False on a hard
-  /// socket error (fills `error`); datagrams before the failure were
-  /// sent.
+  /// true return means all of them entered the kernel. At most
+  /// IoOptions::send_batch datagrams go to one syscall, however many
+  /// messages segmentation makes of them. False on a hard socket error
+  /// (fills `error`); datagrams before the failure were sent.
   bool send_batch(std::span<const DatagramView> batch, const sockaddr_in& dest,
                   std::string* error);
 
@@ -149,6 +179,7 @@ class DatagramChannel {
 
   Fd fd_;
   bool batched_ = false;
+  bool segmenting_ = false;
   int send_batch_limit_ = 1;
   int recv_batch_limit_ = 1;
   std::size_t slot_bytes_ = 0;
@@ -159,6 +190,7 @@ class DatagramChannel {
   // once at open so the hot path is a relaxed atomic add).
   fobs::telemetry::Counter* syscalls_metric_ = nullptr;
   fobs::telemetry::Counter* copy_avoided_metric_ = nullptr;
+  fobs::telemetry::Counter* segmented_metric_ = nullptr;
   fobs::telemetry::Histogram* per_syscall_metric_ = nullptr;
 };
 

@@ -644,12 +644,20 @@ TEST(FileServer, StripedFetchWritesOneTracePerStripeSession) {
 // ---------------------------------------------------------------------------
 
 /// Sends one catalog request line and returns the replied control port
-/// (0 when refused or nothing came back).
-std::uint16_t catalog_request(std::uint16_t catalog_port, const std::string& line) {
+/// (0 when refused or nothing came back). With `split_at` the line goes
+/// out in two writes 20 ms apart, split before that byte.
+std::uint16_t catalog_request(std::uint16_t catalog_port, const std::string& line,
+                              std::size_t split_at = 0) {
   net::Fd conn(connect_tcp(catalog_port));
   if (!conn.valid() || !net::set_nonblocking(conn.get())) return 0;
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  if (!net::send_all(conn.get(), line.data(), line.size(), deadline)) return 0;
+  if (split_at > 0) {
+    if (!net::send_all(conn.get(), line.data(), split_at, deadline)) return 0;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  if (!net::send_all(conn.get(), line.data() + split_at, line.size() - split_at, deadline)) {
+    return 0;
+  }
   std::string reply;
   char ch = 0;
   while (net::read_exact(conn.get(), &ch, 1, deadline) && ch != '\n') reply.push_back(ch);
@@ -833,6 +841,35 @@ TEST(FileServer, ExhaustedControlRangeRefusesUntilAPortFrees) {
   const net::Fd data = net::bind_udp(0);
   const std::string line = "dataset0.bin " + std::to_string(net::local_port(data.get())) + "\n";
   EXPECT_EQ(catalog_request(server.options().catalog_port, line), options.control_port_base);
+  server.stop();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileServer, CatalogLineIsAssembledAcrossWritesAndCapped) {
+  // The server reads the request in chunks: a line in two pieces is
+  // still one request, and a line past the 511-byte cap is refused.
+  const std::string dir = ::testing::TempDir() + "fobs_fileserver_line";
+  stage_files(dir, {16 * 1024});
+  posix::FileServerOptions options;
+  options.dir = dir;
+  options.quiet = true;
+  posix::FileServer server(options);
+  ASSERT_TRUE(server.start());
+  const std::uint16_t catalog = server.options().catalog_port;
+
+  const net::Fd data = net::bind_udp(0);
+  const std::string line = "dataset0.bin " + std::to_string(net::local_port(data.get())) + "\n";
+  EXPECT_NE(catalog_request(catalog, line, /*split_at=*/7), 0);
+  // The server counts the session it starts just after its reply.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.transfers_started() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server.transfers_started(), 1u);
+
+  EXPECT_EQ(catalog_request(catalog, std::string(600, 'a') + "\n"), 0);
+  EXPECT_EQ(server.catalog_timeouts(), 1u);
+  EXPECT_EQ(server.transfers_started(), 1u);
   server.stop();
   std::filesystem::remove_all(dir);
 }

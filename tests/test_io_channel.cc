@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -29,6 +30,7 @@
 #include "fobs/sim_transfer.h"
 #include "net/datagram_channel.h"
 #include "net/socket.h"
+#include "telemetry/metrics.h"
 #include "test_ports.h"
 
 namespace fobs {
@@ -257,6 +259,169 @@ TEST(IoChannel, GarbageAndShortDatagramsSurviveMidBatch) {
 }
 
 // ---------------------------------------------------------------------------
+// UDP segmentation: runs of equal-size datagrams as one message
+// ---------------------------------------------------------------------------
+
+/// Datagram i of a sized batch: its size, and bytes that name i and
+/// the offset, so a reordered, merged or split datagram shows.
+std::vector<std::vector<std::uint8_t>> sized_datagrams(const std::vector<std::size_t>& sizes) {
+  std::vector<std::vector<std::uint8_t>> wire;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    std::vector<std::uint8_t> datagram(sizes[i]);
+    for (std::size_t b = 0; b < datagram.size(); ++b) {
+      datagram[b] = static_cast<std::uint8_t>(i * 31 + b);
+    }
+    wire.push_back(std::move(datagram));
+  }
+  return wire;
+}
+
+/// Sends `batch` from `tx` in one send_batch call, then drains `rx`
+/// until every datagram of `wire` came back: each must arrive whole,
+/// byte for byte and in order.
+void expect_arrives_intact(net::DatagramChannel& tx, net::DatagramChannel& rx,
+                           const std::vector<net::DatagramView>& batch,
+                           const std::vector<std::vector<std::uint8_t>>& wire) {
+  std::string error;
+  const std::uint64_t sent_before = tx.stats().datagrams_sent;
+  ASSERT_TRUE(tx.send_batch(batch, loopback(net::local_port(rx.fd())), &error)) << error;
+  std::vector<net::RecvView> views(net::kMaxBatchDatagrams);
+  std::size_t received = 0;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (received < wire.size() && std::chrono::steady_clock::now() < deadline) {
+    const int got = rx.recv_batch(views, &error);
+    ASSERT_GE(got, 0) << error;
+    if (got == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      continue;
+    }
+    for (int i = 0; i < got; ++i, ++received) {
+      ASSERT_LT(received, wire.size()) << "more datagrams arrived than were sent";
+      ASSERT_EQ(views[i].data.size(), wire[received].size()) << "datagram " << received;
+      EXPECT_TRUE(std::equal(wire[received].begin(), wire[received].end(),
+                             views[i].data.begin()))
+          << "datagram " << received;
+    }
+  }
+  ASSERT_EQ(received, wire.size());
+  EXPECT_EQ(tx.stats().datagrams_sent - sent_before, static_cast<std::uint64_t>(wire.size()));
+}
+
+/// One whole-datagram view per element of `wire`.
+std::vector<net::DatagramView> views_of(const std::vector<std::vector<std::uint8_t>>& wire) {
+  std::vector<net::DatagramView> batch;
+  for (const auto& datagram : wire) batch.push_back({std::span<const std::uint8_t>(datagram)});
+  return batch;
+}
+
+TEST(IoSegments, RunsOfEqualSizeDatagramsShareOneMessage) {
+  std::string error;
+  net::IoOptions io;
+  io.send_batch = net::kMaxBatchDatagrams;
+  auto rx = net::DatagramChannel::open(io, 9000, 0, &error);
+  ASSERT_TRUE(rx.valid()) << error;
+  auto probe = net::DatagramChannel::open(io, 9000, std::nullopt, &error);
+  ASSERT_TRUE(probe.valid()) << error;
+  if (!probe.segmenting()) GTEST_SKIP() << "this kernel has no UDP_SEGMENT";
+
+  struct Case {
+    const char* name;
+    std::vector<std::size_t> sizes;
+    std::uint64_t syscalls;
+    std::uint64_t segmented;
+  };
+  const std::vector<std::size_t> hundred_small(100, 40);
+  const std::vector<std::size_t> sixteen_large(16, 8212);
+  const Case cases[] = {
+      // [300 300 300 120] [300 300] [500 500 9]: a shorter datagram
+      // closes its run, a longer one opens a new run.
+      {"mixed sizes", {300, 300, 300, 120, 300, 300, 500, 500, 9}, 1, 3},
+      {"growing sizes never share a message", {10, 20, 30, 40}, 1, 0},
+      // An empty datagram would vanish as a run's last segment.
+      {"an empty datagram travels alone", {300, 300, 0, 300, 300}, 1, 2},
+      // 64 + 36 datagrams: one syscall and one message per 64.
+      {"64-segment cap", hundred_small, 2, 2},
+      // 7 x 8212 = 57,484 bytes fit in 65,507; an 8th would not.
+      {"65,507-byte cap", sixteen_large, 1, 3},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto tx = net::DatagramChannel::open(io, 9000, std::nullopt, &error);
+    ASSERT_TRUE(tx.valid()) << error;
+    const auto wire = sized_datagrams(c.sizes);
+    expect_arrives_intact(tx, rx, views_of(wire), wire);
+    EXPECT_EQ(tx.stats().send_syscalls, c.syscalls);
+    EXPECT_EQ(tx.stats().segmented_messages, c.segmented);
+    EXPECT_TRUE(tx.segmenting());
+  }
+}
+
+TEST(IoSegments, DuplicateCopiesAndGatheredPiecesSegmentAsWholeDatagrams) {
+  // Header + payload views, each sent twice in a row (a duplicated
+  // datagram of the fault injector): every copy arrives as its own
+  // datagram with its header in front of its payload.
+  std::string error;
+  net::IoOptions io;
+  auto rx = net::DatagramChannel::open(io, 2048, 0, &error);
+  ASSERT_TRUE(rx.valid()) << error;
+  auto tx = net::DatagramChannel::open(io, 2048, std::nullopt, &error);
+  ASSERT_TRUE(tx.valid()) << error;
+  if (!tx.segmenting()) GTEST_SKIP() << "this kernel has no UDP_SEGMENT";
+
+  constexpr int kPackets = 12;
+  constexpr std::size_t kPayload = 1000;
+  std::vector<std::array<std::uint8_t, posix::kDataHeaderSize>> headers(kPackets);
+  const auto object = core::make_pattern(kPackets * kPayload, 0xD0B1);
+  std::vector<net::DatagramView> batch;
+  std::vector<std::vector<std::uint8_t>> wire;
+  for (int i = 0; i < kPackets; ++i) {
+    const std::span<const std::uint8_t> payload(object.data() + i * kPayload, kPayload);
+    posix::encode_data_header(posix::DataHeader{i, 0}, headers[i].data());
+    std::vector<std::uint8_t> whole(headers[i].begin(), headers[i].end());
+    whole.insert(whole.end(), payload.begin(), payload.end());
+    for (int copy = 0; copy < 2; ++copy) {
+      batch.push_back({std::span<const std::uint8_t>(headers[i]), payload});
+      wire.push_back(whole);
+    }
+  }
+  expect_arrives_intact(tx, rx, batch, wire);
+  EXPECT_EQ(tx.stats().send_syscalls, 1u);
+  EXPECT_EQ(tx.stats().segmented_messages, 1u);
+  EXPECT_EQ(tx.stats().copy_bytes_avoided, static_cast<std::int64_t>(2 * kPackets * kPayload));
+}
+
+TEST(IoSegments, KernelRefusalFallsBackPerChannelWithoutLosingADatagram) {
+  // A socket with UDP checksums off may not segment: the kernel
+  // refuses the first segmented message with EINVAL. The channel sends
+  // the same datagrams one per message and segments no more.
+  std::string error;
+  net::IoOptions io;
+  auto rx = net::DatagramChannel::open(io, 2048, 0, &error);
+  ASSERT_TRUE(rx.valid()) << error;
+  net::Fd socket(::socket(AF_INET, SOCK_DGRAM, 0));
+  ASSERT_TRUE(socket.valid());
+  const int on = 1;
+  ASSERT_EQ(::setsockopt(socket.get(), SOL_SOCKET, SO_NO_CHECK, &on, sizeof on), 0);
+  auto tx = net::DatagramChannel::open(io, 2048, std::move(socket), &error);
+  ASSERT_TRUE(tx.valid()) << error;
+  if (!tx.segmenting()) GTEST_SKIP() << "this kernel has no UDP_SEGMENT";
+
+  auto& fallbacks = telemetry::MetricsRegistry::global().counter("fobs.io.segment_fallbacks");
+  const std::int64_t before = fallbacks.value();
+  const auto wire = sized_datagrams(std::vector<std::size_t>(20, 700));
+  expect_arrives_intact(tx, rx, views_of(wire), wire);
+  EXPECT_FALSE(tx.segmenting());
+  EXPECT_EQ(tx.stats().segmented_messages, 0u);
+  EXPECT_EQ(fallbacks.value() - before, 1);
+  EXPECT_EQ(tx.segment_capacity(700), 1);
+
+  // The refusal is the channel's for good: later sends do not retry.
+  const auto again = sized_datagrams(std::vector<std::size_t>(5, 700));
+  expect_arrives_intact(tx, rx, views_of(again), again);
+  EXPECT_EQ(fallbacks.value() - before, 1);
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end transfers: batched vs fallback
 // ---------------------------------------------------------------------------
 
@@ -325,6 +490,33 @@ TEST(IoTransfer, BatchedAndFallbackTransfersAreByteIdentical) {
   EXPECT_GE(batched.sender.io.copy_bytes_avoided,
             static_cast<std::int64_t>(object.size()));
 #endif
+}
+
+TEST(IoTransfer, FirstPassGathersProtocolBatchesIntoOneSend) {
+  // At the paper's B = 2, a fresh transfer's first pass still puts
+  // several protocol batches into one send while the ACK window allows.
+  std::string error;
+  const auto probe = net::DatagramChannel::open({}, 2048, std::nullopt, &error);
+  ASSERT_TRUE(probe.valid()) << error;
+  if (!probe.segmenting()) GTEST_SKIP() << "this kernel has no UDP_SEGMENT";
+
+  const auto object = core::make_pattern(1024 * 1024, 0x6A7E);
+  std::vector<std::uint8_t> sink(object.size(), 0);
+  posix::ReceiverOptions recv_opts;
+  recv_opts.data_port = test::port(22);
+  recv_opts.control_port = test::port(23);
+  recv_opts.endpoint.timeout_ms = 30'000;
+  posix::SenderOptions send_opts;
+  send_opts.data_port = recv_opts.data_port;
+  send_opts.control_port = recv_opts.control_port;
+  send_opts.endpoint.timeout_ms = 30'000;
+  const auto pair = run_pair(send_opts, recv_opts, object, sink);
+  ASSERT_TRUE(pair.receiver.completed()) << pair.receiver.error;
+  ASSERT_TRUE(pair.sender.completed()) << pair.sender.error;
+  EXPECT_EQ(sink, object);
+  const auto batch = static_cast<std::uint64_t>(send_opts.core.batch_size);
+  EXPECT_GT(pair.sender.io.datagrams_sent, batch * pair.sender.io.send_syscalls);
+  EXPECT_GT(pair.sender.io.segmented_messages, 0u);
 }
 
 TEST(IoTransfer, EnvOverrideForcesFallbackForAutoMode) {

@@ -469,7 +469,8 @@ void copy_checkpoints(const std::string& from, const std::string& to) {
 posix::StripedResult striped_attempt(std::span<const std::uint8_t> object,
                                      std::vector<std::uint8_t>& buffer,
                                      const std::string& base, int stripes, StripeLayout layout,
-                                     std::vector<std::string> fault_plans, int first_port) {
+                                     std::vector<std::string> fault_plans, int first_port,
+                                     posix::StripedResult* sender = nullptr) {
   constexpr std::int64_t kPacketBytes = 8 * 1024;
   constexpr int kTimeoutMs = 4'000;  // give up on a dead stripe fast
   posix::TransferEngine sender_engine(posix::EngineOptions{.workers = 4});
@@ -486,8 +487,9 @@ posix::StripedResult striped_attempt(std::span<const std::uint8_t> object,
   recv.endpoint.packet_bytes = kPacketBytes;
   recv.endpoint.timeout_ms = kTimeoutMs;
   recv.stripe_fault_plans = std::move(fault_plans);
-  return run_striped_loopback(sender_engine, receiver_engine, send, recv, object, buffer)
-      .receiver;
+  auto run = run_striped_loopback(sender_engine, receiver_engine, send, recv, object, buffer);
+  if (sender != nullptr) *sender = std::move(run.sender);
+  return run.receiver;
 }
 
 /// Blackholes a stripe's data flow from its first packet: that stripe
@@ -563,10 +565,22 @@ TEST(StripedTransfer, NarrowerRetryKeepsEveryStoredPacket) {
   const std::string base = ::testing::TempDir() + "fobs_stripes_narrow.ckpt";
   posix::remove_striped_checkpoints(base);
 
+  posix::StripedResult first_sender;
   const auto first = striped_attempt(object.view(), degraded, base, 3,
-                                     StripeLayout::kContiguous, {kDeadStripe, "", ""}, 80);
+                                     StripeLayout::kContiguous, {kDeadStripe, "", ""}, 80,
+                                     &first_sender);
   ASSERT_EQ(first.stripes_completed, 2) << first.error;
   ASSERT_TRUE(first.resumable);
+  {
+    SCOPED_TRACE("the dead stripe's sender gathers batches for its first 64 packets only");
+    // Its receiver acknowledges nothing, so after 64 unacked packets
+    // every send carries one protocol batch of B = 2.
+    ASSERT_EQ(first_sender.stripe_senders.size(), 3u);
+    const net::IoStats& dead = first_sender.stripe_senders[0].io;
+    const auto batch = static_cast<std::uint64_t>(core::SenderConfig{}.batch_size);
+    EXPECT_GT(dead.datagrams_sent, 1000u);
+    EXPECT_LE(dead.datagrams_sent, batch * dead.send_syscalls + net::kMaxBatchDatagrams);
+  }
   const auto stored = loaded_globals(base, spec);
   StripePlan three;
   ASSERT_TRUE(StripePlan::make(spec, 3, StripeLayout::kContiguous, &three));
