@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -21,11 +22,10 @@
 #include "fobs/object.h"
 #include "fobs/posix/engine.h"
 #include "fobs/stripe/striped_transfer.h"
+#include "net/socket.h"
 
 namespace {
 
-constexpr std::uint16_t kNegotiationPort = 47101;
-constexpr std::uint16_t kControlPortBase = 47300;
 constexpr std::int64_t kPacketBytes = 8 * 1024;
 
 struct StripeRun {
@@ -44,28 +44,39 @@ StripeRun run_once(int stripes, const fobs::core::TransferObject& object,
   run.stripes_requested = stripes;
   std::memset(scratch.data(), 0, scratch.size());
 
+  // Declared before the engine, whose destructor joins the worker that
+  // fulfils it.
+  std::promise<StripedResult> sent;
+  // Every port is kernel-chosen: the negotiation listener is bound
+  // before the receiver is told its port, and the sender engine's
+  // control range is left at base 0.
   EngineOptions sender_options;
   sender_options.workers = static_cast<std::size_t>(stripes);
-  sender_options.control_port_base = kControlPortBase;
-  sender_options.control_port_count = 64;
   TransferEngine sender_engine(sender_options);
   EngineOptions receiver_options;
   receiver_options.workers = static_cast<std::size_t>(stripes);
   TransferEngine receiver_engine(receiver_options);
 
   StripedSenderOptions send;
-  send.negotiation_port = kNegotiationPort;
   send.max_stripes = stripes;
   send.endpoint.packet_bytes = kPacketBytes;
-  StripedResult sender_result;
-  std::thread sender([&] { sender_result = sender_engine.run_striped_sender(send, object.view()); });
+  StripedSessionParams params;
+  params.listener = fobs::net::listen_tcp(0, 1);
+  const std::uint16_t negotiation_port = fobs::net::local_port(params.listener.get());
+  params.on_complete = [&sent](const StripedResult& aggregate) { sent.set_value(aggregate); };
+  std::thread sender([&] {
+    if (!sender_engine.submit_striped_send(send, object.view(), std::move(params))) {
+      sent.set_value(StripedResult{});
+    }
+  });
 
   StripedReceiverOptions recv;
-  recv.negotiation_port = kNegotiationPort;
+  recv.negotiation_port = negotiation_port;
   recv.stripes = stripes;
   recv.endpoint.packet_bytes = kPacketBytes;
   const StripedResult receiver_result = receiver_engine.run_striped_receiver(recv, scratch);
   sender.join();
+  const StripedResult sender_result = sent.get_future().get();
 
   run.stripes_used = receiver_result.stripes;
   run.completed = receiver_result.completed() && sender_result.completed();

@@ -174,6 +174,9 @@ void FileServer::handle_catalog(int fd, const std::string& peer_host) {
   }
   const std::uint16_t control_port = net::local_port(listener.get());
   auto object = std::make_shared<fobs::core::TransferObject>(std::move(*mapped));
+  // Counted before the reply, so a client holding its reply already
+  // sees the session; a launch failure below still counts in failed_.
+  started_.fetch_add(1, std::memory_order_relaxed);
   reply(std::to_string(object->size()) + " " + std::to_string(control_port) + "\n");
   conn.reset();  // catalog exchange done; the transfer session takes over
 
@@ -197,7 +200,6 @@ void FileServer::handle_catalog(int fd, const std::string& peer_host) {
                   result.fallback_single_flow ? ", fallback" : "", result.goodput_mbps);
     }
   };
-  started_.fetch_add(1, std::memory_order_relaxed);
   std::string error;
   // A striped request turns the replied control port into the FOBSSTRP
   // negotiation port. Anything else is already a settled 1-stripe plan:

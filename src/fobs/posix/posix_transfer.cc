@@ -348,45 +348,27 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
       continue;
     }
 
-    // Phase 1: gather one FOBS batch as scatter-gather views (header
-    // buffer + a pointer into the object) and push it with as few send
-    // syscalls as the channel can manage.
-    const int batch = core.current_batch_size();
-    const int capacity = channel.segment_capacity(datagram_bytes);
-    headers.resize(static_cast<std::size_t>(std::max({batch, capacity, 1})));
+    // Phase 1: the session picks this send's packets; they go out as
+    // scatter-gather views (header buffer + a pointer into the object)
+    // with as few send syscalls as the channel can manage. One send
+    // grows no larger than one segmented message.
+    const int room = channel.segment_capacity(datagram_bytes);
+    headers.resize(static_cast<std::size_t>(std::max({core.current_batch_size(), room, 1})));
     views.clear();
     corrupt_payloads.clear();
-    int selected = 0;
     bool crash_pending = false;
-    bool first_pass = true;  // every packet selected so far is a first transmission
-    // Another whole batch joins this send only while the first pass
-    // runs: an ACK can mark only packets already sent, so the circular
-    // policy picks the same packets whenever ACKs are read. The send
-    // must fit one segmented message, and the packets sent but not yet
-    // acked (resumed packets were never sent) stay within
-    // kMaxBatchDatagrams, so a receiver that drains slowly, or not at
-    // all, sets the pace.
-    auto gather_more = [&] {
-      const auto& stats = core.stats();
-      const std::int64_t unacked =
-          stats.packets_sent - (stats.packets_acked - session.stats().packets_resumed);
-      return first_pass && core.pacing_gap() == fobs::util::Duration::zero() &&
-             selected + batch <= capacity && unacked + batch <= fobs::net::kMaxBatchDatagrams;
-    };
-    for (int limit = batch; selected < limit && !core.all_acked();) {
+    session.open_send(room);
+    for (std::size_t n = 0; session.pick_due(); ++n) {
       if (session.crash_due()) {
-        crash_pending = true;  // what is already gathered still goes out
+        crash_pending = true;  // what is already picked still goes out
         break;
       }
-      const auto seq = core.select_next();
-      if (!seq) break;
-      first_pass = first_pass && core.send_counts()[static_cast<std::size_t>(*seq)] == 1;
-      const std::int64_t len = spec.payload_bytes(*seq);
-      const std::uint8_t* payload = object.data() + plan.global_offset(stripe.index, *seq);
-      auto& header_buf = headers[static_cast<std::size_t>(selected)];
-      encode_data_header(DataHeader{*seq, payload_crc(payload, static_cast<std::size_t>(len))},
+      const auto [seq, fate] = *session.next_pick();
+      const std::int64_t len = spec.payload_bytes(seq);
+      const std::uint8_t* payload = object.data() + plan.global_offset(stripe.index, seq);
+      auto& header_buf = headers[n];
+      encode_data_header(DataHeader{seq, payload_crc(payload, static_cast<std::size_t>(len))},
                          header_buf.data());
-      const auto fate = session.next_data_fate();
       if (fate.corrupt) {
         // Flip a byte in a private copy after the CRC was computed, so
         // the receiver's checksum test fails deterministically — on
@@ -401,17 +383,13 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
                          std::span<const std::uint8_t>(payload,
                                                        static_cast<std::size_t>(len))});
       }
-      ++selected;
-      if (selected == limit && gather_more()) limit += batch;
     }
     if (!views.empty() && !channel.send_batch(views, *peer, &io_error)) {
       result.status = TransferStatus::kSocketError;
       result.error = io_error;
       break;
     }
-    if (tracer != nullptr && selected > 0) {
-      tracer->record(telemetry::EventType::kBatchSent, -1, selected);
-    }
+    session.close_send();
     if (crash_pending) {
       result.status = TransferStatus::kCrashed;
       result.error = "injected crash";

@@ -8,9 +8,9 @@
 // It is *greedy*: it keeps (re)transmitting until the receiver's
 // completion signal arrives over the TCP control channel.
 //
-// This class is sans-io: drivers (simulator or POSIX sockets) ask it
-// which packet to send next and feed it ACK/completion events. All
-// protocol behaviour is testable without a network.
+// This class is sans-io: SenderSession asks it which packet to send
+// next and feeds it ACK/completion events for the drivers (simulator or
+// POSIX sockets). All protocol behaviour is testable without a network.
 #pragma once
 
 #include <cstdint>
@@ -96,8 +96,8 @@ class SenderCore {
 
   /// Attaches a per-transfer event tracer (nullptr = telemetry off, the
   /// default). The tracer must outlive the core; the core records
-  /// protocol events (ACK processed, completion) and leaves transport
-  /// events (batches, timeouts) to the driver.
+  /// protocol events (ACK processed, completion), SenderSession each
+  /// send's batch, and the driver transport events (timeouts).
   void set_tracer(telemetry::EventTracer* tracer) { tracer_ = tracer; }
   [[nodiscard]] telemetry::EventTracer* tracer() const { return tracer_; }
 

@@ -19,6 +19,11 @@ std::int64_t progress_of(const ReceiverCore& core) {
 }
 bool finished(const SenderCore& /*core*/) { return false; }
 bool finished(const ReceiverCore& core) { return core.complete(); }
+
+// Packets sent but not yet acked that a gathered send may leave
+// outstanding, so a receiver that drains slowly, or not at all, sets
+// the pace.
+constexpr std::int64_t kGatherWindow = 64;
 }  // namespace
 
 template <typename Core>
@@ -58,6 +63,35 @@ GiveUp Session<Core>::give_up(bool progressed) {
 
 template class Session<SenderCore>;
 template class Session<ReceiverCore>;
+
+bool SenderSession::pick_due() const {
+  if (batch_ == 0 || core_.all_acked()) return false;
+  if (picked_ == 0 || picked_ % batch_ != 0) return true;
+  // Another whole batch joins only on the first pass (an ACK can mark
+  // only packets already sent, so the circular policy picks the same
+  // packets whenever ACKs are read), unpaced, within the room and within
+  // the window of unacked packets (resumed ones were never sent).
+  const auto& sent = core_.stats();
+  const std::int64_t unacked = sent.packets_sent - (sent.packets_acked - stats_.packets_resumed);
+  return first_pass_ && core_.pacing_gap() == fobs::util::Duration::zero() &&
+         picked_ + batch_ <= room_ && unacked + batch_ <= kGatherWindow;
+}
+
+std::optional<SenderSession::Pick> SenderSession::next_pick() {
+  if (!pick_due()) return std::nullopt;
+  const auto seq = core_.select_next();
+  if (!seq) return std::nullopt;
+  first_pass_ = first_pass_ && core_.send_counts()[static_cast<std::size_t>(*seq)] == 1;
+  ++picked_;
+  return Pick{*seq, draw(fobs::net::FaultChannel::kData)};
+}
+
+void SenderSession::close_send() {
+  if (picked_ > 0 && tracer_ != nullptr) {
+    tracer_->record(telemetry::EventType::kBatchSent, -1, picked_);
+  }
+  batch_ = 0;
+}
 
 void SenderSession::on_ack(const AckMessage* ack) {
   if (ack == nullptr) {

@@ -1,16 +1,18 @@
 // Sans-io recovery sessions: the rules FOBS adds to the paper's greedy
 // sender and bitmap ACKs, written once for every driver. They sit above
-// the protocol cores and own checksum rejects, the fault plan's actions
-// and crash point, ACK epochs, the object-space resume record and the
-// resume frame, and the progress-based stall give-up. Like the cores
-// they have no sockets and no clock (time comes in as nanoseconds), so
-// the POSIX and simulator drivers feed them the same calls and
-// tests/test_session.cc pumps a pair over an in-memory link.
+// the protocol cores and own the send step (the packets of one send and
+// their fault fates), checksum rejects, the fault plan's crash point,
+// ACK epochs, the object-space resume record and the resume frame, and
+// the progress-based stall give-up. Like the cores they have no sockets
+// and no clock (time comes in as nanoseconds), so the POSIX and
+// simulator drivers feed them the same calls and tests/test_session.cc
+// pumps a pair over an in-memory link.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <utility>
 
 #include "common/bitmap.h"
@@ -131,8 +133,28 @@ class SenderSession : public Session<SenderCore> {
 
   [[nodiscard]] const SenderSessionStats& stats() const { return stats_; }
 
-  /// The plan's data-channel action for the next outgoing datagram.
-  DatagramFate next_data_fate() { return draw(fobs::net::FaultChannel::kData); }
+  /// One packet of a send and the plan's data-channel action on it.
+  struct Pick {
+    PacketSeq seq;
+    DatagramFate fate;
+  };
+  /// Opens one send (paper phase 1) of the core's B packets. The first
+  /// pass gathers more whole batches, up to `room` packets (what the
+  /// driver can push as one send; 1 never gathers): see pick_due().
+  void open_send(int room) {
+    batch_ = core_.current_batch_size();
+    room_ = room;
+    picked_ = 0;
+    first_pass_ = true;
+  }
+  /// Whether the open send takes another packet. Drivers check their
+  /// own gates (crash point, writability) between this and next_pick().
+  [[nodiscard]] bool pick_due() const;
+  /// The next packet by the selection policy, recorded as sent, with
+  /// its fate; nullopt when no pick is due.
+  std::optional<Pick> next_pick();
+  /// Closes the send and traces it as one `batch_sent` event.
+  void close_send();
 
   /// One ACK arrived (null: it failed its checksum). Corrupt ones and
   /// ones of a dead incarnation's epoch are counted and dropped; the
@@ -166,6 +188,10 @@ class SenderSession : public Session<SenderCore> {
 
  private:
   SenderSessionStats stats_;
+  int batch_ = 0;  ///< B of the open send; 0 = none open
+  int room_ = 0;
+  int picked_ = 0;
+  bool first_pass_ = false;  ///< every packet picked so far is a first transmission
   bool connected_ = false;
   std::uint32_t epoch_ = 0;  ///< 0 after a reconnect: nothing matches
   bool filtering_ = false;   ///< set by the first hello

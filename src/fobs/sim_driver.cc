@@ -77,12 +77,12 @@ void SimSender::step() {
     return;
   }
 
-  // Phase 1: batch-send without blocking.
-  const int batch = core.current_batch_size();
+  // Phase 1: batch-send without blocking. Room 1: the simulator models
+  // no segmentation (its CPU model charges per datagram).
   const std::int64_t max_payload = spec_.packet_bytes + kDataHeaderBytes;
-  int sent_in_batch = 0;
   bool blocked = false;
-  for (int i = 0; i < batch && !core.all_acked(); ++i) {
+  session_.open_send(1);
+  while (session_.pick_due()) {
     if (!data_out_.writable(max_payload)) {
       // Socket buffer full: wait for writability (the select() call),
       // then continue the loop. This path does not reserve the CPU
@@ -99,17 +99,15 @@ void SimSender::step() {
       blocked = true;
       break;
     }
-    const auto seq = core.select_next();
-    if (!seq) break;
-    const std::int64_t len = spec_.payload_bytes(*seq);
+    const auto [seq, fate] = *session_.next_pick();
+    const std::int64_t len = spec_.payload_bytes(seq);
     DataPacketPayload payload;
-    payload.seq = *seq;
+    payload.seq = seq;
     payload.len = static_cast<std::int32_t>(len);
-    payload.data = data_ != nullptr ? data_ + spec_.offset_of(*seq) : nullptr;
+    payload.data = data_ != nullptr ? data_ + spec_.offset_of(seq) : nullptr;
     // The plan models in-flight damage: a dropped packet is sent by the
     // core's accounting but never reaches the wire, a corrupted one
     // arrives with a failing checksum, a duplicated one arrives twice.
-    const DatagramFate fate = session_.next_data_fate();
     payload.corrupted = fate.corrupt;
     for (int copy = 0; copy < fate.copies; ++copy) {
       const bool ok =
@@ -118,12 +116,9 @@ void SimSender::step() {
       assert(ok);
       (void)ok;
     }
-    ++sent_in_batch;
     busy += host_.cpu().send_cost(fobs::util::DataSize::bytes(len + kDataHeaderBytes));
   }
-  if (sent_in_batch > 0 && core.tracer() != nullptr) {
-    core.tracer()->record(telemetry::EventType::kBatchSent, -1, sent_in_batch);
-  }
+  session_.close_send();
   if (blocked) return;  // resume comes from the writability callback
 
   if (core.all_acked()) {

@@ -57,7 +57,8 @@ class SimSender {
 
   /// The recovery session. Attach a tracer and a fault injector (may be
   /// shared with the receiver) here before start(), which installs the
-  /// sim clock on the tracer; the driver adds batch and fallback events.
+  /// sim clock on the tracer; the session traces batches, the driver
+  /// fallback events.
   [[nodiscard]] SenderSession& session() { return session_; }
   [[nodiscard]] const SenderSession& session() const { return session_; }
 

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <any>
-#include <span>
-#include <vector>
+#include <cstddef>
+#include <cstdint>
 
 #include "host/host.h"
 #include "net/udp.h"
@@ -20,7 +20,6 @@ using host::HostConfig;
 using net::UdpEndpoint;
 using sim::LinkConfig;
 using sim::Network;
-using sim::Packet;
 using sim::Simulation;
 using util::DataRate;
 using util::DataSize;
@@ -91,15 +90,21 @@ TEST(Host, SendStampsSourceAndUid) {
   TwoHosts world;
   UdpEndpoint sender(*world.a);
   UdpEndpoint receiver(*world.b, 5000);
-  sender.send_to(world.b->id(), 5000, 64, std::any{});
-  sender.send_to(world.b->id(), 5000, 64, std::any{});
+  sender.send_to(world.b->id(), 5000, 64, std::any{1});
+  sender.send_to(world.b->id(), 5000, 64, std::any{2});
   world.sim.run();
+  EXPECT_EQ(receiver.buffered_datagrams(), 2u);
   auto p1 = receiver.try_recv();
   auto p2 = receiver.try_recv();
   ASSERT_TRUE(p1 && p2);
   EXPECT_EQ(p1->src, world.a->id());
   EXPECT_EQ(p1->src_port, sender.port());
   EXPECT_NE(p1->uid, p2->uid);
+  // Oldest first, and the buffer is empty once both are taken.
+  EXPECT_EQ(std::any_cast<int>(p1->payload), 1);
+  EXPECT_EQ(std::any_cast<int>(p2->payload), 2);
+  EXPECT_FALSE(receiver.try_recv().has_value());
+  EXPECT_EQ(receiver.buffered_bytes(), 0);
 }
 
 TEST(Udp, DeliversPayloadAndCountsBytes) {
@@ -125,56 +130,36 @@ TEST(Udp, SendWouldBlockWhenNicFull) {
   int accepted = 0;
   while (sender.send_to(world.b->id(), 5000, 1400, std::any{})) ++accepted;
   EXPECT_GT(accepted, 0);
-  EXPECT_GT(sender.stats().send_would_block, 0u);
+  EXPECT_EQ(sender.stats().datagrams_sent, static_cast<std::uint64_t>(accepted));
+  EXPECT_EQ(sender.stats().send_would_block, 1u);  // one per refused datagram
   EXPECT_FALSE(sender.writable(1400));
   // Once the queue drains, writability returns.
   world.sim.run();
   EXPECT_TRUE(sender.writable(1400));
 }
 
-TEST(Udp, BatchSendAndBatchRecvMirrorTheSingleCalls) {
-  TwoHosts world;
-  UdpEndpoint sender(*world.a);
-  UdpEndpoint receiver(*world.b, 5000);
-  std::vector<net::SimDatagram> batch;
-  for (int i = 0; i < 8; ++i) {
-    batch.push_back({world.b->id(), 5000, 500, std::any{i}});
-  }
-  EXPECT_EQ(sender.send_batch(batch), 8u);
-  EXPECT_EQ(sender.stats().datagrams_sent, 8u);
-  world.sim.run();
-
-  // recv_batch drains oldest-first into the spans it is given, exactly
-  // like repeated try_recv calls would.
-  std::vector<Packet> out(5);
-  ASSERT_EQ(receiver.recv_batch(out), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(std::any_cast<int>(out[i].payload), i);
-  EXPECT_EQ(receiver.buffered_datagrams(), 3u);
-  auto rest = receiver.try_recv();
-  ASSERT_TRUE(rest.has_value());
-  EXPECT_EQ(std::any_cast<int>(rest->payload), 5);
-  ASSERT_EQ(receiver.recv_batch(out), 2u);
-  EXPECT_EQ(std::any_cast<int>(out[1].payload), 7);
-  EXPECT_EQ(receiver.recv_batch(out), 0u);
-  EXPECT_EQ(receiver.stats().bytes_received, 8 * 500);
-}
-
-TEST(Udp, BatchSendStopsAtFirstRefusalLeavingTheRestIntact) {
+TEST(Udp, RefusedDatagramIsAcceptedOnceTheQueueDrains) {
   TwoHosts world(DataRate::megabits_per_second(1), /*queue=*/4096);
   UdpEndpoint sender(*world.a);
-  UdpEndpoint receiver(*world.b, 5000);
-  std::vector<net::SimDatagram> batch;
-  for (int i = 0; i < 64; ++i) {
-    batch.push_back({world.b->id(), 5000, 1400, std::any{i}});
-  }
-  const std::size_t sent = sender.send_batch(batch);
-  ASSERT_GT(sent, 0u);
-  ASSERT_LT(sent, batch.size());
-  EXPECT_EQ(sender.stats().send_would_block, 1u);
-  // The refused tail is untouched and can be retried verbatim.
-  EXPECT_EQ(std::any_cast<int>(batch[sent].payload), static_cast<int>(sent));
+  UdpEndpoint receiver(*world.b, 5000, 1024 * 1024);
+  int next = 0;
+  while (sender.send_to(world.b->id(), 5000, 1400, std::any{next})) ++next;
+  ASSERT_GT(next, 0);
   world.sim.run();
-  EXPECT_GT(sender.send_batch(std::span(batch).subspan(sent)), 0u);
+  // The refused datagram goes out as it is once the queue drains.
+  EXPECT_TRUE(sender.send_to(world.b->id(), 5000, 1400, std::any{next}));
+  world.sim.run();
+  EXPECT_EQ(sender.stats().send_would_block, 1u);
+  EXPECT_EQ(sender.stats().datagrams_sent, static_cast<std::uint64_t>(next + 1));
+  // Every accepted datagram arrives once, oldest first.
+  ASSERT_EQ(receiver.buffered_datagrams(), static_cast<std::size_t>(next + 1));
+  for (int i = 0; i <= next; ++i) {
+    const auto pkt = receiver.try_recv();
+    ASSERT_TRUE(pkt.has_value());
+    EXPECT_EQ(std::any_cast<int>(pkt->payload), i);
+  }
+  EXPECT_FALSE(receiver.has_data());
+  EXPECT_EQ(receiver.stats().bytes_received, (next + 1) * 1400);
 }
 
 TEST(Udp, WritabilityNotificationFires) {

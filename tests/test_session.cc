@@ -6,7 +6,8 @@
 // wall-clock timing allowed. Each seed picks its loss regime from a
 // small matrix (clean, light or heavy loss on each direction, after the
 // loss regimes of the Lossy-BSP model), its selection policy, and its
-// own fault plans.
+// own fault plans. The sender sends through the session's own send
+// step, first-pass gathering included, exactly as the drivers do.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -23,6 +24,7 @@
 #include "fobs/stripe/plan.h"
 #include "net/faults.h"
 #include "telemetry/metrics.h"
+#include "telemetry/trace.h"
 
 namespace fobs::core {
 namespace {
@@ -32,6 +34,7 @@ constexpr std::int64_t kPackets = 2000;
 constexpr TransferSpec kSpec{kPackets * 1024, 1024};
 constexpr double kLossMatrix[] = {0.0, 0.02, 0.15};
 constexpr int kMaxRounds = 100'000;
+constexpr int kRoom = 32;  // net::IoOptions::send_batch's default
 
 net::FaultPlan plan_of(const std::string& spec) {
   std::string error;
@@ -154,16 +157,16 @@ class Link {
     bool corrupt;
   };
 
+  /// One send of the session's send step, with the POSIX driver's
+  /// default room, so the first pass gathers as it does there.
   void send_batch() {
-    SenderCore& core = sender_.core();
-    for (int i = 0; i < core.current_batch_size() && !core.all_acked(); ++i) {
-      const auto seq = core.select_next();
-      if (!seq) break;
-      const DatagramFate fate = sender_.next_data_fate();
-      for (int copy = 0; copy < fate.copies; ++copy) {
-        if (!rng_.bernoulli(data_loss_)) data_.push_back({*seq, fate.corrupt});
+    sender_.open_send(kRoom);
+    while (const auto pick = sender_.next_pick()) {
+      for (int copy = 0; copy < pick->fate.copies; ++copy) {
+        if (!rng_.bernoulli(data_loss_)) data_.push_back({pick->seq, pick->fate.corrupt});
       }
     }
+    sender_.close_send();
   }
 
   void drain_data() {
@@ -350,6 +353,141 @@ TEST(SessionRecovery, StallVerdictIsTimeoutWithoutProgressAndStalledAfterIt) {
   EXPECT_TRUE(progressed.stall_expired(40));
   EXPECT_EQ(progressed.give_up(), GiveUp::kStalled);
   EXPECT_EQ(stalls_metric(), stalls + 4);
+}
+
+/// Drives SenderSession's send step alone, checking each pick's fate
+/// against a twin of the session's fault plan: one data draw per pick,
+/// in pick order.
+class SendStep {
+ public:
+  SendStep(TransferSpec spec, SenderConfig config, const std::string& plan)
+      : faults_(plan_of(plan)), twin_(plan_of(plan)), session_(spec, config) {
+    session_.set_fault_injector(&faults_);
+    session_.set_tracer(&tracer_);
+  }
+
+  SenderSession& session() { return session_; }
+
+  /// One send with `room`: the packets picked, in order.
+  std::vector<PacketSeq> send(int room) {
+    std::vector<PacketSeq> seqs;
+    session_.open_send(room);
+    while (const auto pick = session_.next_pick()) {
+      const DatagramFate fate = fate_of(twin_.next(net::FaultChannel::kData));
+      EXPECT_EQ(pick->fate.copies, fate.copies);
+      EXPECT_EQ(pick->fate.corrupt, fate.corrupt);
+      seqs.push_back(pick->seq);
+    }
+    session_.close_send();
+    return seqs;
+  }
+
+  /// The values of the `batch_sent` events traced so far.
+  [[nodiscard]] std::vector<std::int64_t> batches() const {
+    std::vector<std::int64_t> out;
+    for (const auto& event : tracer_.snapshot()) {
+      if (event.type == telemetry::EventType::kBatchSent) out.push_back(event.value);
+    }
+    return out;
+  }
+
+ private:
+  net::FaultInjector faults_;
+  net::FaultInjector twin_;
+  telemetry::EventTracer tracer_;
+  SenderSession session_;
+};
+
+std::vector<PacketSeq> seq_run(PacketSeq first, PacketSeq count) {
+  std::vector<PacketSeq> out;
+  for (PacketSeq seq = first; seq < first + count; ++seq) out.push_back(seq);
+  return out;
+}
+
+TEST(SessionSendStep, FirstPassGathersWholeBatchesWithinRoomAndWindow) {
+  const std::string plan = "seed=11;data.corrupt=0.1;data.drop=0.1;data.dup=0.1";
+  // B = 2, circular selection. Whole batches join up to the room...
+  SendStep step(kSpec, SenderConfig{}, plan);
+  EXPECT_EQ(step.send(8), seq_run(0, 8));
+  // ...and up to the window: 8 + 56 packets sent and unacked.
+  EXPECT_EQ(step.send(64), seq_run(8, 56));
+  // A full window still sends one batch, and a 3-packet room has no
+  // room for a second one.
+  EXPECT_EQ(step.send(64), seq_run(64, 2));
+  EXPECT_EQ(step.send(3), seq_run(66, 2));
+  // An ACK for packets 0..39 leaves 28 unacked: the send grows to 36.
+  ReceiverCore receiver(kSpec, ReceiverConfig{});
+  for (PacketSeq seq = 0; seq < 40; ++seq) receiver.on_data_packet(seq);
+  const AckMessage ack = receiver.make_ack();
+  step.session().on_ack(&ack);
+  EXPECT_EQ(step.send(64), seq_run(68, 36));
+  // Room 1 never gathers.
+  EXPECT_EQ(step.send(1), seq_run(104, 2));
+  EXPECT_EQ(step.batches(), (std::vector<std::int64_t>{8, 56, 2, 2, 36, 2}));
+
+  // A resend pick stops the growth at the end of its batch.
+  constexpr TransferSpec kTwenty{20 * 1024, 1024};
+  SendStep wrap(kTwenty, SenderConfig{}, plan);
+  std::vector<PacketSeq> wrapped = seq_run(0, 20);
+  wrapped.insert(wrapped.end(), {0, 1});
+  EXPECT_EQ(wrap.send(64), wrapped);
+  EXPECT_EQ(wrap.send(64), seq_run(2, 2));
+
+  // A non-zero pacing gap sends exactly one batch. Four ACKs that
+  // report nothing received, each after one send, open the gap.
+  SenderConfig paced_config;
+  paced_config.adaptive.enabled = true;
+  SendStep paced(kSpec, paced_config, plan);
+  ReceiverCore silent(kSpec, ReceiverConfig{});
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(paced.send(1).size(), 2U);
+    const AckMessage nothing = silent.make_ack();
+    paced.session().on_ack(&nothing);
+  }
+  ASSERT_GT(paced.session().core().pacing_gap(), util::Duration::zero());
+  EXPECT_EQ(paced.send(64), seq_run(8, 2));
+
+  // Resumed packets were never sent, so they do not count as unacked.
+  SendStep resumed(kSpec, SenderConfig{}, plan);
+  util::Bitmap upper(kPackets);
+  for (std::size_t seq = 1000; seq < upper.size(); ++seq) upper.set(seq);
+  const auto packed = upper.extract_range(0, kPackets);
+  resumed.session().on_resume(packed.data(), packed.size(), kPackets);
+  ASSERT_EQ(resumed.session().stats().packets_resumed, 1000);
+  EXPECT_EQ(resumed.send(64), seq_run(0, 64));
+  EXPECT_EQ(resumed.send(64), seq_run(64, 2));
+}
+
+TEST(SessionSendStep, NothingIsPickedOutsideAnOpenSendOrOnceAllIsAcked) {
+  constexpr TransferSpec kTwenty{20 * 1024, 1024};
+  SendStep step(kTwenty, SenderConfig{}, "seed=5;data.drop=0.5");
+  SenderSession& session = step.session();
+  // No send open yet: no pick, no draw, no trace.
+  EXPECT_FALSE(session.pick_due());
+  EXPECT_FALSE(session.next_pick().has_value());
+  session.close_send();
+  // A driver gate (writability, crash point) may close a send after
+  // one pick: the closed send takes no more, and traces the one.
+  session.open_send(8);
+  const auto pick = session.next_pick();
+  ASSERT_TRUE(pick.has_value());
+  EXPECT_EQ(pick->seq, 0);
+  EXPECT_TRUE(session.pick_due());
+  session.close_send();
+  EXPECT_FALSE(session.pick_due());
+  EXPECT_FALSE(session.next_pick().has_value());
+  EXPECT_EQ(session.core().stats().packets_sent, 1);
+
+  // Once every packet is acked, an open send picks nothing and is not
+  // traced.
+  ReceiverCore receiver(kTwenty, ReceiverConfig{});
+  for (PacketSeq seq = 0; seq < 20; ++seq) receiver.on_data_packet(seq);
+  const AckMessage ack = receiver.make_ack();
+  session.on_ack(&ack);
+  ASSERT_TRUE(session.core().all_acked());
+  EXPECT_TRUE(step.send(64).empty());
+  EXPECT_EQ(session.core().stats().packets_sent, 1);
+  EXPECT_EQ(step.batches(), (std::vector<std::int64_t>{1}));
 }
 
 }  // namespace
